@@ -150,6 +150,8 @@ class GridFunction:
         values = np.asarray(values, dtype=float).reshape(-1)
         if values.size != config.num_cells:
             raise ValueError(f"expected {config.num_cells} leaf values, got {values.size}")
+        if not np.isfinite(values).all():
+            raise ValueError("leaf values must be finite, got NaN or inf")
         self.config = config
         self.values = values
         self.values.flags.writeable = False

@@ -11,7 +11,61 @@ from itertools import product
 import numpy as np
 import pytest
 
-from choquet.lattice import LatticeConfig, all_cubes, cube_slices
+from choquet.content import _cost_tables
+from choquet.lattice import CubeId, LatticeConfig, all_cubes, cube_slices
+
+
+def _coarsen_sum_batch(a: np.ndarray) -> np.ndarray:
+    """Sum over 2x...x2 blocks, halving every axis but the leading batch axis."""
+    for ax in range(1, a.ndim):
+        shape = a.shape[:ax] + (a.shape[ax] // 2, 2) + a.shape[ax + 1 :]
+        a = a.reshape(shape).sum(axis=ax + 1)
+    return a
+
+
+def content_values_batch(config: LatticeConfig, masks: np.ndarray) -> np.ndarray:
+    """DP content values for a batch of occupancy grids, shape (m,) + grid.
+
+    One full-lattice DP per mask: O(m * N) time and memory."""
+    L, d = config.L, config.d
+    occ = masks.astype(bool)
+    cost = np.where(occ, 2.0 ** (-L * d), 0.0)
+    for k in range(L - 1, -1, -1):
+        child_sum = _coarsen_sum_batch(cost)
+        occ = _coarsen_sum_batch(occ.astype(np.int64)) > 0
+        cost = np.where(occ, np.minimum(2.0 ** (-k * d), child_sum), 0.0)
+    return cost.reshape(masks.shape[0])
+
+
+def mask_choquet_integral(config: LatticeConfig, grid: np.ndarray) -> float:
+    """Layer-cake Choquet integral with one content DP per distinct value."""
+    levels = np.unique(grid[grid > 0.0])
+    if levels.size == 0:
+        return 0.0
+    masks = grid[None, ...] >= levels.reshape((-1,) + (1,) * grid.ndim)
+    contents = content_values_batch(config, masks)
+    steps = np.diff(levels, prepend=0.0)
+    return float((steps * contents).sum())
+
+
+def stack_walk_cover(config: LatticeConfig, occ: np.ndarray) -> frozenset:
+    """Optimal cover by a depth-first walk from the root: take a cube when
+    the DP takes it, otherwise descend into its occupied children."""
+    if not occ.any():
+        return frozenset()
+    costs, take = _cost_tables(config, occ)
+    cover = []
+    stack = [CubeId(0, (0,) * config.n)]
+    while stack:
+        q = stack.pop()
+        if costs[q.level][q.index] == 0.0:
+            continue
+        if take[q.level][q.index]:
+            cover.append(q)
+        else:
+            for corner in np.ndindex(*(2,) * config.n):
+                stack.append(CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner))))
+    return frozenset(cover)
 
 
 def brute_force_content(config: LatticeConfig, mask: np.ndarray) -> float:

@@ -139,6 +139,16 @@ def test_missing_input_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_input_is_usage_error(capsys, tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "L": 1, "d": 1.0, "values": [%s, 0, 1, 0]}' % bad)
+    code, out, err = run(capsys, "luxemburg", "-i", path, "--cube", "0:0,0", "--phi", "power:2")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquet.content import (
     choquet_integral,
     choquet_norm,
-    content_values_batch,
     frostman_measure,
     hausdorff_content,
     hausdorff_content_value,
@@ -18,7 +19,36 @@ from choquet.lattice import (
     measure_of_cube,
 )
 
-from conftest import brute_force_content, lp_cover_value, lp_frostman_value, random_leaf_mask
+from conftest import (
+    brute_force_content,
+    content_values_batch,
+    lp_cover_value,
+    lp_frostman_value,
+    mask_choquet_integral,
+    random_leaf_mask,
+    stack_walk_cover,
+)
+
+# Derandomized so every run checks the same examples; no example database.
+oracle_settings = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+LEAF_VALUES = {
+    "continuous": lambda rng, size: rng.random(size),
+    "quantised": lambda rng, size: np.floor(rng.random(size) * 5) / 4,
+    "sparse": lambda rng, size: rng.random(size) * (rng.random(size) < 0.3),
+    "indicator": lambda rng, size: (rng.random(size) < rng.uniform(0.1, 0.9)).astype(float),
+    "constant": lambda rng, size: np.full(size, 1.75),
+    "zero": lambda rng, size: np.zeros(size),
+}
+MAX_L = {1: 8, 2: 5, 3: 3}
+
+
+@st.composite
+def lattice_functions(draw, kinds=tuple(LEAF_VALUES)):
+    n = draw(st.integers(1, 3))
+    cfg = LatticeConfig(n, draw(st.integers(0, MAX_L[n])), draw(st.floats(0.05, n - 0.05)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return GridFunction(cfg, LEAF_VALUES[draw(st.sampled_from(kinds))](rng, cfg.num_cells))
 
 
 def test_content_root():
@@ -116,6 +146,21 @@ def test_content_values_batch_matches_scalar(rng):
         assert batch[i] == pytest.approx(hausdorff_content_value(cfg, masks[i]), rel=1e-14)
 
 
+@oracle_settings
+@given(lattice_functions(kinds=("indicator",)))
+def test_cover_matches_stack_walk_oracle(E):
+    assert hausdorff_content(E).optimal_cover == stack_walk_cover(E.config, E.grid > 0.5)
+
+
+def test_cover_tie_takes_parent():
+    # two occupied children at d=1 cost 2 * 1/2, a tie with the root
+    cfg = LatticeConfig(2, 2, 1.0)
+    E = indicator(cfg, [CubeId(1, (0, 0)), CubeId(1, (1, 1))])
+    cover = hausdorff_content(E).optimal_cover
+    assert cover == frozenset({CubeId(0, (0, 0))})
+    assert cover == stack_walk_cover(cfg, E.grid > 0.5)
+
+
 def test_frostman_example():
     cfg = LatticeConfig(1, 2, 0.5)
     E = GridFunction(cfg, [1, 0, 1, 0])
@@ -175,6 +220,20 @@ def test_choquet_layer_cake_oracle(rng):
             acc += (t - prev) * hausdorff_content_value(cfg, f.grid >= t)
             prev = t
         assert choquet_integral(f) == pytest.approx(acc, rel=1e-12)
+
+
+@oracle_settings
+@given(lattice_functions())
+def test_choquet_integral_matches_mask_oracle(f):
+    assert choquet_integral(f) == mask_choquet_integral(f.config, f.grid)
+
+
+def test_choquet_integral_continuous_large_lattice(rng):
+    # every level set holds a leaf and lies in the root
+    cfg = LatticeConfig(2, 9, 1.3)
+    f = GridFunction(cfg, rng.random(cfg.num_cells))
+    top = float(f.values.max())
+    assert 2.0 ** (-cfg.L * cfg.d) * top <= choquet_integral(f) <= top
 
 
 def test_choquet_monotone_homogeneous(rng):

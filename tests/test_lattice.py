@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,15 @@ def test_grid_function_immutable_and_shape():
         f.values[0] = 1.0
     with pytest.raises(ValueError):
         GridFunction(cfg, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_function_rejects_non_finite(bad):
+    cfg = LatticeConfig(1, 2, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(cfg, [0.0, bad, 1.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction.from_json(json.dumps({"n": 1, "L": 2, "d": 0.5, "values": [0.0, bad, 1.0, 0.0]}))
 
 
 def test_indicator_and_restrict():
