@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction, LatticeConfig
+from .lattice import CubeId, GridFunction, LatticeConfig, coarsen, refine
 
 __all__ = [
     "ContentResult",
@@ -39,21 +39,6 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
-
-
-def _coarsen_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over 2x...x2 blocks, halving every axis."""
-    for ax in range(a.ndim):
-        shape = a.shape[:ax] + (a.shape[ax] // 2, 2) + a.shape[ax + 1 :]
-        a = a.reshape(shape).sum(axis=ax + 1)
-    return a
-
-
-def _refine(a: np.ndarray, factor: int) -> np.ndarray:
-    """Repeat each entry `factor` times along every axis."""
-    for ax in range(a.ndim):
-        a = np.repeat(a, factor, axis=ax)
-    return a
 
 
 @dataclass(frozen=True)
@@ -80,8 +65,8 @@ def _cost_tables(config: LatticeConfig, occ_grid: np.ndarray):
     costs[L] = np.where(occ, 2.0 ** (-L * d), 0.0)
     take[L] = occ.copy()
     for k in range(L - 1, -1, -1):
-        child_sum = _coarsen_sum(costs[k + 1])
-        occ = _coarsen_sum(occ.astype(np.int64)) > 0
+        child_sum = coarsen(costs[k + 1])
+        occ = coarsen(occ.astype(np.int64)) > 0
         cube_cost = 2.0 ** (-k * d)
         take[k] = occ & (cube_cost <= child_sum + _TIE_TOL)
         costs[k] = np.where(occ, np.minimum(cube_cost, child_sum), 0.0)
@@ -110,7 +95,7 @@ def hausdorff_content(E: GridFunction) -> ContentResult:
     blocked = np.zeros((1,) * config.n, dtype=bool)
     for k in range(config.L + 1):
         if k:
-            blocked = _refine(blocked, 2)
+            blocked = refine(blocked, 2)
         sel = take[k] & ~blocked
         cover.extend(CubeId(k, tuple(idx)) for idx in np.argwhere(sel).tolist())
         blocked |= sel
@@ -129,9 +114,9 @@ def frostman_measure(E: GridFunction) -> GridFunction:
     mass = costs[0].copy()  # level-0 mass: the content itself
     for k in range(config.L):
         child_cost = costs[k + 1]
-        total = _coarsen_sum(child_cost)
-        parent_mass = _refine(mass, 2)
-        scale = _refine(np.where(total > 0.0, 1.0 / np.where(total > 0.0, total, 1.0), 0.0), 2)
+        total = coarsen(child_cost)
+        parent_mass = refine(mass, 2)
+        scale = refine(np.where(total > 0.0, 1.0 / np.where(total > 0.0, total, 1.0), 0.0), 2)
         mass = parent_mass * scale * child_cost
     density = mass / config.cell_volume
     return GridFunction(config, density.reshape(-1))
@@ -189,7 +174,7 @@ def choquet_integral(f: GridFunction) -> float:
         np.maximum.accumulate(latest, axis=1, out=latest)
         padded = np.zeros(2 * cost.size)
         padded[1::2] = cost
-        # Add the children in _coarsen_sum's order: axis-0 pairs first.
+        # Add the children in coarsen's order: axis-0 pairs first.
         terms = padded[latest].reshape((2,) * n + (-1,))
         for _ in range(n):
             terms = terms[0] + terms[1]

@@ -2,11 +2,15 @@
 Orlicz, maximal, and sparse-operator inequalities, with deterministic
 seeding and empirical-constant reporting.
 
-Each suite produces a VerificationReport.  Inequalities with an explicit
-constant are asserted against it (worst_ratio vs bound); equivalences whose
-constants are only cited elsewhere are recorded (bound is None, status is
-pass as long as every trial is finite).  Composite suites normalize each
-sub-check by its own tolerance, so their bound is 1.
+Each suite is one row of the SUITES table: a seeded trial
+(ctx, i) -> (ratio, payload), the bound it is asserted against and its
+tolerance.  `run_suite` runs the trials and reports the worst ratio, with
+that trial's payload as the counterexample when the bound fails.
+Inequalities with an explicit constant are asserted against it;
+equivalences whose constants are only cited elsewhere are recorded (bound
+is None, status is pass as long as every trial is finite).  Composite
+suites normalize each sub-check by its own tolerance, so their bound is 1.
+The few suites whose report is not the worst ratio declare a `summary`.
 
 Trials are generated from per-trial child seeds, so results are identical
 regardless of execution order or worker count.
@@ -19,6 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +34,8 @@ from .lattice import (
     LatticeConfig,
     Tiling,
     all_cubes,
+    children,
+    coarsen,
     cube_slices,
 )
 from .maximal import fractional_measure_maximal, hl_maximal, orlicz_fractional_maximal
@@ -127,14 +134,21 @@ def _random_values(rng: np.random.Generator, cells: int) -> np.ndarray:
     return vals
 
 
+def _random_frostman(rng: np.random.Generator, config: LatticeConfig) -> GridFunction:
+    """Frostman measure of a random leaf set with a random density (never empty)."""
+    mask = rng.random(config.num_cells) < max(rng.random(), 2.0 / config.num_cells)
+    if not mask.any():
+        mask[0] = True
+    return frostman_measure(GridFunction(config, mask.astype(float)))
+
+
 def _random_tiling(rng: np.random.Generator, config: LatticeConfig) -> Tiling:
     cubes = []
     stack = [CubeId(0, (0,) * config.n)]
     while stack:
         q = stack.pop()
         if q.level < config.L and rng.random() < 0.5:
-            for corner in np.ndindex(*(2,) * config.n):
-                stack.append(CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner))))
+            stack.extend(sorted(children(config, q), key=lambda c: c.index))
         else:
             cubes.append(q)
     return Tiling(cubes)
@@ -164,10 +178,7 @@ def random_instance(kind: str, config: LatticeConfig, seed, eta: float = 0.5):
         return GridFunction(config, _random_values(rng, config.num_cells))
     if kind == "density":
         if rng.random() < 0.5:
-            mask = rng.random(config.num_cells) < max(rng.random(), 2.0 / config.num_cells)
-            if not mask.any():
-                mask[0] = True
-            return frostman_measure(GridFunction(config, mask.astype(float)))
+            return _random_frostman(rng, config)
         return GridFunction(config, _random_values(rng, config.num_cells))
     if kind == "tiling":
         return _random_tiling(rng, config)
@@ -207,13 +218,32 @@ def _run_trials(ctx: SuiteContext, trial_fn):
     return [trial_fn(ctx, i) for i in indices]
 
 
-def _worst(results):
-    """Max ratio with its trial payload."""
+def _max_ratio(results):
+    """The default report: the max ratio is both the worst ratio and the
+    empirical constant, and its trial's payload is the counterexample.
+    Returns (worst_ratio, empirical_constant, payload, details)."""
     worst, payload = -np.inf, None
     for ratio, pl in results:
         if ratio > worst:
             worst, payload = ratio, pl
-    return worst, payload
+    return worst, worst, payload, {}
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One row of the suite table.
+
+    `trial(ctx, i)` returns (ratio, payload).  The suite passes when the
+    worst ratio is at most bound + tolerance, or, with bound None, when it
+    is finite.  `summary` maps the trial results to (worst_ratio,
+    empirical_constant, payload, details); `once` runs the single trial 0
+    whatever the trial count, for a suite with nothing random in it."""
+
+    trial: Callable
+    bound: float | None
+    tolerance: float
+    summary: Callable = _max_ratio
+    once: bool = False
 
 
 def _ratio(num: float, den: float) -> float:
@@ -227,225 +257,169 @@ def _ratio(num: float, den: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _suite_adams(ctx: SuiteContext):
-    def trial(ctx, i):
-        f = ctx.instance("function", i, salt=1)
-        mu = ctx.instance("density", i, salt=2)
-        lhs = pairing(f, mu)
-        md = fractional_measure_maximal(mu).values
-        rhs = choquet_integral(GridFunction(ctx.config, f.values * md.values))
-        return _ratio(lhs, rhs), {"f": f, "mu": mu}
-
-    results = _run_trials(ctx, trial)
-    worst, payload = _worst(results)
-    return dict(bound=1.0, tolerance=_DEFAULT_TOL, worst_ratio=worst, empirical_constant=worst, payload=payload)
+def _adams(ctx: SuiteContext, i: int):
+    f = ctx.instance("function", i, salt=1)
+    mu = ctx.instance("density", i, salt=2)
+    lhs = pairing(f, mu)
+    md = fractional_measure_maximal(mu).values
+    rhs = choquet_integral(GridFunction(ctx.config, f.values * md.values))
+    return _ratio(lhs, rhs), {"f": f, "mu": mu}
 
 
-def _suite_simple_trick(ctx: SuiteContext):
-    from .content import _coarsen_sum
-
-    def coarsen_min(a):
-        for ax in range(a.ndim):
-            shape = a.shape[:ax] + (a.shape[ax] // 2, 2) + a.shape[ax + 1 :]
-            a = a.reshape(shape).min(axis=ax + 1)
-        return a
-
+def _simple_trick(ctx: SuiteContext, i: int):
     config = ctx.config
-
-    def trial(ctx, i):
-        mu = ctx.instance("density", i)
-        md = fractional_measure_maximal(mu).values.grid
-        sums = mu.grid * config.cell_volume
-        mins = md
-        worst = 0.0
-        for k in range(config.L, -1, -1):
-            ratio = sums * 2.0 ** (k * config.d)
-            ok = mins > 0.0
-            r = np.where(ok & (ratio > 0.0), ratio / np.where(ok, mins, 1.0), 0.0)
-            worst = max(worst, float(r.max()))
-            if k:
-                sums = _coarsen_sum(sums)
-                mins = coarsen_min(mins)
-        return worst, {"mu": mu}
-
-    results = _run_trials(ctx, trial)
-    worst, payload = _worst(results)
-    return dict(bound=1.0, tolerance=_DEFAULT_TOL, worst_ratio=worst, empirical_constant=worst, payload=payload)
+    mu = ctx.instance("density", i)
+    sums = mu.grid * config.cell_volume
+    mins = fractional_measure_maximal(mu).values.grid
+    worst = 0.0
+    for k in range(config.L, -1, -1):
+        ratio = sums * 2.0 ** (k * config.d)
+        ok = mins > 0.0
+        r = np.where(ok & (ratio > 0.0), ratio / np.where(ok, mins, 1.0), 0.0)
+        worst = max(worst, float(r.max()))
+        if k:
+            sums = coarsen(sums)
+            mins = coarsen(mins, np.minimum)
+    return worst, {"mu": mu}
 
 
-def _suite_triangle(ctx: SuiteContext):
-    def trial(ctx, i):
-        p = [1.0, 2.0, 4.0][i % 3]
-        f = ctx.instance("function", i, salt=1)
-        g = ctx.instance("function", i, salt=2)
-        both = GridFunction(ctx.config, f.values + g.values)
-        return _ratio(choquet_norm(both, p), choquet_norm(f, p) + choquet_norm(g, p)), {"f": f, "g": g, "p": p}
-
-    results = _run_trials(ctx, trial)
-    worst, payload = _worst(results)
-    return dict(bound=1.0, tolerance=_DEFAULT_TOL, worst_ratio=worst, empirical_constant=worst, payload=payload)
+def _triangle(ctx: SuiteContext, i: int):
+    p = [1.0, 2.0, 4.0][i % 3]
+    f = ctx.instance("function", i, salt=1)
+    g = ctx.instance("function", i, salt=2)
+    both = GridFunction(ctx.config, f.values + g.values)
+    return _ratio(choquet_norm(both, p), choquet_norm(f, p) + choquet_norm(g, p)), {"f": f, "g": g, "p": p}
 
 
-def _suite_hoelder(ctx: SuiteContext):
-    def trial(ctx, i):
-        p = [1.0, 2.0, 4.0][i % 3]
-        pprime = np.inf if p == 1.0 else p / (p - 1.0)
-        f = ctx.instance("function", i, salt=1)
-        g = ctx.instance("function", i, salt=2)
-        num = choquet_integral(GridFunction(ctx.config, f.values * g.values))
-        den = choquet_norm(f, p) * choquet_norm(g, pprime)
-        return _ratio(num, den), {"f": f, "g": g, "p": p}
-
-    results = _run_trials(ctx, trial)
-    worst, payload = _worst(results)
-    return dict(bound=1.0, tolerance=_DEFAULT_TOL, worst_ratio=worst, empirical_constant=worst, payload=payload)
+def _hoelder(ctx: SuiteContext, i: int):
+    p = [1.0, 2.0, 4.0][i % 3]
+    pprime = np.inf if p == 1.0 else p / (p - 1.0)
+    f = ctx.instance("function", i, salt=1)
+    g = ctx.instance("function", i, salt=2)
+    num = choquet_integral(GridFunction(ctx.config, f.values * g.values))
+    den = choquet_norm(f, p) * choquet_norm(g, pprime)
+    return _ratio(num, den), {"f": f, "g": g, "p": p}
 
 
-def _suite_young(ctx: SuiteContext):
+_YOUNG_TS = np.exp2(np.linspace(-6.0, 6.0, 25))
+_YOUNG_PHIS = [Power(2.0), Power(1.5), LlogL()]
+# Built once: each caches its grid Legendre transform per argument.
+_NUM_CONJ_EXP = numeric_conjugate(ExpM1())
+_NUM_CONJ_LLOGL = numeric_conjugate(LlogL())
+
+
+def _young(ctx: SuiteContext, i: int):
     """Composite Orlicz checks, each normalized by its own tolerance."""
     config = ctx.config
-    ts = np.exp2(np.linspace(-6.0, 6.0, 25))
-    num_conj_exp = numeric_conjugate(ExpM1())
-    num_conj_llogl = numeric_conjugate(LlogL())
-    phis = [Power(2.0), Power(1.5), LlogL()]
+    ts = _YOUNG_TS
+    phi = _YOUNG_PHIS[i % 3]
+    phibar = phi.complementary()
+    f = ctx.instance("function", i, salt=1)
+    g = ctx.instance("function", i, salt=2)
+    rng = ctx.rng_for(i, salt=3)
+    k = int(rng.integers(0, config.L + 1))
+    q = CubeId(k, tuple(int(rng.integers(0, 2**k)) for _ in range(config.n)))
+    root = CubeId(0, (0,) * config.n)
+    checks = {}
 
-    def trial(ctx, i):
-        phi = phis[i % 3]
-        phibar = phi.complementary()
-        f = ctx.instance("function", i, salt=1)
-        g = ctx.instance("function", i, salt=2)
-        rng = ctx.rng_for(i, salt=3)
-        k = int(rng.integers(0, config.L + 1))
-        q = CubeId(k, tuple(int(rng.integers(0, 2**k)) for _ in range(config.n)))
-        root = CubeId(0, (0,) * config.n)
-        checks = {}
+    a = luxemburg_norm(f, q, phi)
+    if a > 0.0:
+        checks["normalization"] = abs(phi_average(f, q, phi, a) - 1.0) / _LUX_TOL
 
-        a = luxemburg_norm(f, q, phi)
-        if a > 0.0:
-            checks["normalization"] = abs(phi_average(f, q, phi, a) - 1.0) / _LUX_TOL
+    t = float(ts[i % len(ts)])
+    checks["young_eq_closed"] = young_equality_residual(Power([1.5, 2.0, 3.0][i % 3]), t) / _LUX_TOL
+    checks["young_eq_numeric_exp"] = young_equality_residual(ExpM1(), min(t, 8.0), _NUM_CONJ_EXP) / 1e-6
+    checks["young_eq_numeric_llogl"] = young_equality_residual(LlogL(), t, _NUM_CONJ_LLOGL) / 1e-6
 
-        t = float(ts[i % len(ts)])
-        checks["young_eq_closed"] = young_equality_residual(Power([1.5, 2.0, 3.0][i % 3]), t) / _LUX_TOL
-        checks["young_eq_numeric_exp"] = young_equality_residual(ExpM1(), min(t, 8.0), num_conj_exp) / 1e-6
-        checks["young_eq_numeric_llogl"] = young_equality_residual(LlogL(), t, num_conj_llogl) / 1e-6
+    b = luxemburg_norm(g, q, phibar)
+    prod = float(np.abs(f.restrict(q) * g.restrict(q)).mean())
+    checks["orlicz_hoelder"] = _ratio(prod, 2.0 * a * b) / (1.0 + _DEFAULT_TOL)
 
-        b = luxemburg_norm(g, q, phibar)
-        prod = float(np.abs(f.restrict(q) * g.restrict(q)).mean())
-        checks["orlicz_hoelder"] = _ratio(prod, 2.0 * a * b) / (1.0 + _DEFAULT_TOL)
+    if b > 0.0:
+        am = amemiya_functional(g, q, phibar)
+        checks["amemiya_lower"] = _ratio(b, am) / (1.0 + _LUX_TOL)
+        checks["amemiya_upper"] = _ratio(am, 2.0 * b) / (1.0 + _LUX_TOL)
 
-        if b > 0.0:
-            am = amemiya_functional(g, q, phibar)
-            checks["amemiya_lower"] = _ratio(b, am) / (1.0 + _LUX_TOL)
-            checks["amemiya_upper"] = _ratio(am, 2.0 * b) / (1.0 + _LUX_TOL)
+    scale = float(np.exp2(rng.uniform(-3.0, 3.0)))
+    h = GridFunction(config, scale * f.values)
+    norm_h = luxemburg_norm(h, root, phi)
+    mass = float(phi(np.abs(h.values)).mean())
+    if 0.0 < norm_h <= 1.0:
+        checks["lemma34_small"] = _ratio(mass, norm_h) / (1.0 + _LUX_TOL)
+    elif norm_h > 1.0:
+        checks["lemma34_large"] = _ratio(norm_h, mass) / (1.0 + _LUX_TOL)
+    if norm_h > 0.0:
+        checks["lemma34_max"] = _ratio(norm_h, max(1.0, mass)) / (1.0 + _LUX_TOL)
 
-        scale = float(np.exp2(rng.uniform(-3.0, 3.0)))
-        h = GridFunction(config, scale * f.values)
-        norm_h = luxemburg_norm(h, root, phi)
-        mass = float(phi(np.abs(h.values)).mean())
-        if 0.0 < norm_h <= 1.0:
-            checks["lemma34_small"] = _ratio(mass, norm_h) / (1.0 + _LUX_TOL)
-        elif norm_h > 1.0:
-            checks["lemma34_large"] = _ratio(norm_h, mass) / (1.0 + _LUX_TOL)
-        if norm_h > 0.0:
-            checks["lemma34_max"] = _ratio(norm_h, max(1.0, mass)) / (1.0 + _LUX_TOL)
+    theta = float(rng.uniform(0.05, 0.95))
+    gap_lo = float(np.max(phi(theta * ts) - theta * phi(ts)))
+    theta = float(rng.uniform(1.05, 8.0))
+    small = ts[ts * theta < 50.0]
+    gap_hi = float(np.max(theta * phi(small) - phi(theta * small)))
+    checks["convexity_scaling"] = max(gap_lo, gap_hi) / _LUX_TOL
 
-        theta = float(rng.uniform(0.05, 0.95))
-        gap_lo = float(np.max(phi(theta * ts) - theta * phi(ts)))
-        theta = float(rng.uniform(1.05, 8.0))
-        small = ts[ts * theta < 50.0]
-        gap_hi = float(np.max(theta * phi(small) - phi(theta * small)))
-        checks["convexity_scaling"] = max(gap_lo, gap_hi) / _LUX_TOL
-
-        worst_key = max(checks, key=checks.get)
-        return checks[worst_key], {"check": worst_key, "phi": phi.name, "cube": str(q)}
-
-    results = _run_trials(ctx, trial)
-    worst, payload = _worst(results)
-    return dict(bound=1.0, tolerance=_DEFAULT_TOL, worst_ratio=worst, empirical_constant=worst, payload=payload)
+    worst_key = max(checks, key=checks.get)
+    return checks[worst_key], {"check": worst_key, "phi": phi.name, "cube": str(q)}
 
 
 _PAIRS = [(Power(2.0), Power(2.0).complementary()), (LlogL(), ExpM1())]
 
 
-def _suite_verification_ineq(ctx: SuiteContext):
+def _verification_ineq(ctx: SuiteContext, i: int):
     config = ctx.config
+    _, phibar = _PAIRS[i % 2]
+    g = ctx.instance("function", i, salt=1)
+    t = ctx.instance("tiling", i, salt=2)
+    table = luxemburg_norm_table(g, phibar)
 
-    def trial(ctx, i):
-        _, phibar = _PAIRS[i % 2]
-        g = ctx.instance("function", i, salt=1)
-        t = ctx.instance("tiling", i, salt=2)
-        table = luxemburg_norm_table(g, phibar)
+    tile_norm = np.zeros(config.grid_shape)
+    tile_level = np.zeros(config.grid_shape, dtype=int)
+    for q in t:
+        sl = cube_slices(config, q)
+        flat = int(np.ravel_multi_index(q.index, (2**q.level,) * config.n))
+        tile_norm[sl] = table[q.level][flat]
+        tile_level[sl] = q.level
 
-        tile_norm = np.zeros(config.grid_shape)
-        tile_level = np.zeros(config.grid_shape, dtype=int)
-        for q in t:
-            sl = cube_slices(config, q)
-            flat = int(np.ravel_multi_index(q.index, (2**q.level,) * config.n))
-            tile_norm[sl] = table[q.level][flat]
-            tile_level[sl] = q.level
-
-        worst = 0.0
-        for q0 in all_cubes(config):
-            sl = cube_slices(config, q0)
-            inside = tile_level[sl] >= q0.level
-            lhs = float((tile_norm[sl] * inside).sum()) * config.cell_volume * q0.side**-config.d
-            flat = int(np.ravel_multi_index(q0.index, (2**q0.level,) * config.n))
-            rhs = q0.side ** (config.n - config.d) * float(table[q0.level][flat])
-            worst = max(worst, _ratio(lhs, rhs))
-        return worst, {"g": g, "tiling": [str(q) for q in t], "phibar": phibar.name}
-
-    results = _run_trials(ctx, trial)
-    worst, payload = _worst(results)
-    return dict(bound=2.0, tolerance=_LUX_TOL, worst_ratio=worst, empirical_constant=worst, payload=payload)
+    worst = 0.0
+    for q0 in all_cubes(config):
+        sl = cube_slices(config, q0)
+        inside = tile_level[sl] >= q0.level
+        lhs = float((tile_norm[sl] * inside).sum()) * config.cell_volume * q0.side**-config.d
+        flat = int(np.ravel_multi_index(q0.index, (2**q0.level,) * config.n))
+        rhs = q0.side ** (config.n - config.d) * float(table[q0.level][flat])
+        worst = max(worst, _ratio(lhs, rhs))
+    return worst, {"g": g, "tiling": [str(q) for q in t], "phibar": phibar.name}
 
 
-def _suite_thm31_first(ctx: SuiteContext):
+def _thm31_first(ctx: SuiteContext, i: int):
     config = ctx.config
-    alpha = config.n - config.d
-
-    def trial(ctx, i):
-        phi, phibar = _PAIRS[i % 2]
-        p = [1.0, 2.0][(i // 2) % 2]
-        pprime = np.inf if p == 1.0 else p / (p - 1.0)
-        f = ctx.instance("function", i, salt=1)
-        g = ctx.instance("function", i, salt=2)
-        t = ctx.instance("tiling", i, salt=3)
-        lhs = pairing(f, g)
-        bn = block_norm(f, p, phi, t)
-        if np.isinf(pprime):
-            mg = orlicz_morrey_norm(g, np.inf, phibar)
-        else:
-            mg = choquet_norm(orlicz_fractional_maximal(g, alpha, phibar).values, pprime)
-        return _ratio(lhs, bn * mg), {"f": f, "g": g, "tiling": [str(q) for q in t], "p": p, "phi": phi.name}
-
-    results = _run_trials(ctx, trial)
-    worst, payload = _worst(results)
-    return dict(bound=4.0, tolerance=_LUX_TOL, worst_ratio=worst, empirical_constant=worst, payload=payload)
+    phi, phibar = _PAIRS[i % 2]
+    p = [1.0, 2.0][(i // 2) % 2]
+    pprime = np.inf if p == 1.0 else p / (p - 1.0)
+    f = ctx.instance("function", i, salt=1)
+    g = ctx.instance("function", i, salt=2)
+    t = ctx.instance("tiling", i, salt=3)
+    lhs = pairing(f, g)
+    bn = block_norm(f, p, phi, t)
+    if np.isinf(pprime):
+        mg = orlicz_morrey_norm(g, np.inf, phibar)
+    else:
+        mg = choquet_norm(orlicz_fractional_maximal(g, config.n - config.d, phibar).values, pprime)
+    return _ratio(lhs, bn * mg), {"f": f, "g": g, "tiling": [str(q) for q in t], "p": p, "phi": phi.name}
 
 
-def _suite_thm31_witness(ctx: SuiteContext):
-    config = ctx.config
-
-    def trial(ctx, i):
-        phi, _ = _PAIRS[i % 2]
-        p = 2.0
-        f = ctx.instance("function", i, salt=1)
-        t = ctx.instance("tiling", i, salt=2)
-        rng = ctx.rng_for(i, salt=3)
-        mask = rng.random(config.num_cells) < max(rng.random(), 2.0 / config.num_cells)
-        if not mask.any():
-            mask[0] = True
-        mu = frostman_measure(GridFunction(config, mask.astype(float)))
-        dw = dual_witness(f, mu, p, phi, t)
-        worst = 0.0
-        for _, cert, a in dw.certificates:
-            if a > 0.0:
-                worst = max(worst, cert / a ** (p - 1.0))
-        return worst, {"f": f, "tiling": [str(q) for q in t], "phi": phi.name}
-
-    results = _run_trials(ctx, trial)
-    worst, payload = _worst(results)
-    return dict(bound=1.0, tolerance=_LUX_TOL, worst_ratio=worst, empirical_constant=worst, payload=payload)
+def _thm31_witness(ctx: SuiteContext, i: int):
+    phi, _ = _PAIRS[i % 2]
+    p = 2.0
+    f = ctx.instance("function", i, salt=1)
+    t = ctx.instance("tiling", i, salt=2)
+    mu = _random_frostman(ctx.rng_for(i, salt=3), ctx.config)
+    dw = dual_witness(f, mu, p, phi, t)
+    worst = 0.0
+    for _, cert, a in dw.certificates:
+        if a > 0.0:
+            worst = max(worst, cert / a ** (p - 1.0))
+    return worst, {"f": f, "tiling": [str(q) for q in t], "phi": phi.name}
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +427,7 @@ def _suite_thm31_witness(ctx: SuiteContext):
 # ---------------------------------------------------------------------------
 
 
-def _suite_thm21_empirical(ctx: SuiteContext):
+def _thm21_empirical(ctx: SuiteContext, i: int):
     """Sparse-operator pairing against the decomposed proof chain.
 
     The end-to-end constant has no citable numeric value, so the direct
@@ -461,69 +435,57 @@ def _suite_thm21_empirical(ctx: SuiteContext):
     (1/eta) * c_M * c_SST, every factor of which is computed exactly for
     the trial at hand."""
     config = ctx.config
+    p = [1.0, 2.0][i % 2]
+    pprime = np.inf if p == 1.0 else p / (p - 1.0)
+    f = ctx.instance("function", i, salt=1)
+    g = ctx.instance("function", i, salt=2)
+    fam = ctx.instance("sparse_family", i, salt=3)
+    report = verify_sparse(config, fam)
 
-    def trial(ctx, i):
-        p = [1.0, 2.0][i % 2]
-        pprime = np.inf if p == 1.0 else p / (p - 1.0)
-        f = ctx.instance("function", i, salt=1)
-        g = ctx.instance("function", i, salt=2)
-        fam = ctx.instance("sparse_family", i, salt=3)
-        report = verify_sparse(config, fam)
+    num = pairing(g, apply_sparse(f, fam))
+    om = orlicz_morrey_norm(g, pprime, LlogL())
+    fp = choquet_norm(f, p)
+    direct = _ratio(num, fp * om)
 
-        num = pairing(g, apply_sparse(f, fam))
-        om = orlicz_morrey_norm(g, pprime, LlogL())
-        fp = choquet_norm(f, p)
-        direct = _ratio(num, fp * om)
-
-        mf = hl_maximal(f).values
-        mg = hl_maximal(g).values
-        c_m = _ratio(choquet_norm(mf, p), fp)
-        mdmg = fractional_measure_maximal(mg).values.values
-        omg = orlicz_fractional_maximal(g, config.n - config.d, LlogL()).values.values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_sst = float(np.nanmax(np.where(omg > 0, mdmg / omg, 0.0)))
-        budget = (1.0 / report.min_ratio) * c_m * c_sst
-        asserted = _ratio(direct, budget)
-        return asserted, {"direct": direct, "budget": budget, "p": p}
-
-    results = _run_trials(ctx, trial)
-    worst, payload = _worst(results)
-    direct_max = max(r[1]["direct"] for r in results)
-    return dict(
-        bound=1.0,
-        tolerance=_DEFAULT_TOL,
-        worst_ratio=worst,
-        empirical_constant=direct_max,
-        payload=payload,
-    )
+    mf = hl_maximal(f).values
+    mg = hl_maximal(g).values
+    c_m = _ratio(choquet_norm(mf, p), fp)
+    mdmg = fractional_measure_maximal(mg).values.values
+    omg = orlicz_fractional_maximal(g, config.n - config.d, LlogL()).values.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_sst = float(np.nanmax(np.where(omg > 0, mdmg / omg, 0.0)))
+    budget = (1.0 / report.min_ratio) * c_m * c_sst
+    asserted = _ratio(direct, budget)
+    return asserted, {"direct": direct, "budget": budget, "p": p}
 
 
-def _suite_maximal_equiv(ctx: SuiteContext):
+def _thm21_summary(results):
+    """The asserted ratio is the worst; the empirical constant is the
+    largest direct ratio."""
+    worst, _, payload, details = _max_ratio(results)
+    return worst, max(pl["direct"] for _, pl in results), payload, details
+
+
+def _maximal_equiv(ctx: SuiteContext, i: int):
+    """Ratio range M_d(M f) / M_{alpha,LlogL} f over the cells where the
+    denominator is positive: (max, min)."""
     config = ctx.config
-
-    def trial(ctx, i):
-        f = ctx.instance("function", i)
-        mdm = fractional_measure_maximal(hl_maximal(f).values).values.values
-        om = orlicz_fractional_maximal(f, config.n - config.d, LlogL()).values.values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(om > 0, mdm / om, np.nan)
-        return float(np.nanmax(r)), {"c1": float(np.nanmin(r)), "c2": float(np.nanmax(r))}
-
-    results = _run_trials(ctx, trial)
-    c2 = max(r[0] for r in results)
-    c1 = min(r[1]["c1"] for r in results)
-    finite = all(np.isfinite(r[0]) for r in results) and c1 > 0.0
-    return dict(
-        bound=None,
-        tolerance=_DEFAULT_TOL,
-        worst_ratio=c2 if finite else np.inf,
-        empirical_constant=c2,
-        payload=None if finite else {"c1": c1},
-        extra_details={"c1": c1, "c2": c2},
-    )
+    f = ctx.instance("function", i)
+    mdm = fractional_measure_maximal(hl_maximal(f).values).values.values
+    om = orlicz_fractional_maximal(f, config.n - config.d, LlogL()).values.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(om > 0, mdm / om, np.nan)
+    return float(np.nanmax(r)), float(np.nanmin(r))
 
 
-def _suite_cantor(ctx: SuiteContext):
+def _maximal_equiv_summary(results):
+    c2 = max(r for r, _ in results)
+    c1 = min(c for _, c in results)
+    finite = all(np.isfinite(r) for r, _ in results) and c1 > 0.0
+    return c2 if finite else np.inf, c2, {"c1": c1}, {"c1": c1, "c2": c2}
+
+
+def _cantor(ctx: SuiteContext, i: int):
     """Snapped Cantor family: exact content, growth law, Luxemburg majorant,
     and sparseness, each normalized by its tolerance."""
     config = ctx.config
@@ -549,14 +511,13 @@ def _suite_cantor(ctx: SuiteContext):
     checks["sparseness"] = abs(report.min_ratio - c.eta) / _DEFAULT_TOL
 
     worst_key = max(checks, key=checks.get)
-    return dict(
-        bound=1.0,
-        tolerance=_DEFAULT_TOL,
-        worst_ratio=checks[worst_key],
-        empirical_constant=lb["computed_norm"],
-        payload=None if checks[worst_key] <= 1.0 + _DEFAULT_TOL else {"check": worst_key},
-        extra_details={"lambda_star": lb["lambda_star"], "depth": K},
-    )
+    return checks[worst_key], {"check": worst_key, "lb": lb, "depth": K}
+
+
+def _cantor_summary(results):
+    ((worst, pl),) = results
+    lb = pl["lb"]
+    return worst, lb["computed_norm"], {"check": pl["check"]}, {"lambda_star": lb["lambda_star"], "depth": pl["depth"]}
 
 
 def _min_block_norm(f: GridFunction, p: float, phi, config: LatticeConfig) -> float:
@@ -569,66 +530,48 @@ def _min_block_norm(f: GridFunction, p: float, phi, config: LatticeConfig) -> fl
     return value
 
 
-def _suite_cor32(ctx: SuiteContext):
-    config = ctx.config
+def _cor32(ctx: SuiteContext, i: int):
+    phi, phibar = _PAIRS[i % 2]
+    f = ctx.instance("function", i, salt=1)
+    inf_block = _min_block_norm(f, 1.0, phi, ctx.config)
+    lower = associate_lower_bound(f, SpaceSpec("orlicz_morrey_inf", phi=phibar), witnesses=24, seed=ctx.seed + i)
+    return _ratio(inf_block, lower), None
 
-    def trial(ctx, i):
-        phi, phibar = _PAIRS[i % 2]
-        f = ctx.instance("function", i, salt=1)
-        inf_block = _min_block_norm(f, 1.0, phi, config)
-        lower = associate_lower_bound(f, SpaceSpec("orlicz_morrey_inf", phi=phibar), witnesses=24, seed=ctx.seed + i)
-        return _ratio(inf_block, lower), {"inf_block": inf_block, "lower": lower}
 
-    results = _run_trials(ctx, trial)
-    ratios = [r[0] for r in results]
+def _cor32_summary(results):
+    ratios = [r for r, _ in results]
     finite = all(np.isfinite(r) and r > 0 for r in ratios)
-    return dict(
-        bound=None,
-        tolerance=_DEFAULT_TOL,
-        worst_ratio=max(ratios) if finite else np.inf,
-        empirical_constant=max(ratios),
-        payload=None if finite else {"ratios": ratios},
-        extra_details={"ratio_min": min(ratios), "ratio_max": max(ratios)},
-    )
+    details = {"ratio_min": min(ratios), "ratio_max": max(ratios)}
+    return max(ratios) if finite else np.inf, max(ratios), {"ratios": ratios}, details
 
 
-def _suite_thm33(ctx: SuiteContext):
-    config = ctx.config
+def _thm33(ctx: SuiteContext, i: int):
+    f = ctx.instance("function", i, salt=1)
+    fam = ctx.instance("sparse_family", i, salt=2)
+    inf_block = _min_block_norm(apply_sparse(f, fam), 1.0, ExpM1(), ctx.config)
+    return _ratio(inf_block, choquet_norm(f, 1.0)), None
 
-    def trial(ctx, i):
-        f = ctx.instance("function", i, salt=1)
-        fam = ctx.instance("sparse_family", i, salt=2)
-        af = apply_sparse(f, fam)
-        inf_block = _min_block_norm(af, 1.0, ExpM1(), config)
-        return _ratio(inf_block, choquet_norm(f, 1.0)), {"inf_block": inf_block}
 
-    results = _run_trials(ctx, trial)
-    ratios = [r[0] for r in results]
+def _thm33_summary(results):
+    ratios = [r for r, _ in results]
     finite = all(np.isfinite(r) for r in ratios)
-    return dict(
-        bound=None,
-        tolerance=_DEFAULT_TOL,
-        worst_ratio=max(ratios) if finite else np.inf,
-        empirical_constant=max(ratios),
-        payload=None if finite else {"ratios": ratios},
-        extra_details={"ratio_max": max(ratios)},
-    )
+    return max(ratios) if finite else np.inf, max(ratios), {"ratios": ratios}, {"ratio_max": max(ratios)}
 
 
 SUITES = {
-    "adams": _suite_adams,
-    "simple_trick": _suite_simple_trick,
-    "triangle": _suite_triangle,
-    "hoelder": _suite_hoelder,
-    "young_suite": _suite_young,
-    "verification_ineq": _suite_verification_ineq,
-    "thm31_first": _suite_thm31_first,
-    "thm31_witness": _suite_thm31_witness,
-    "thm21_empirical": _suite_thm21_empirical,
-    "maximal_equiv": _suite_maximal_equiv,
-    "cantor_suite": _suite_cantor,
-    "cor32": _suite_cor32,
-    "thm33": _suite_thm33,
+    "adams": Suite(_adams, 1.0, _DEFAULT_TOL),
+    "simple_trick": Suite(_simple_trick, 1.0, _DEFAULT_TOL),
+    "triangle": Suite(_triangle, 1.0, _DEFAULT_TOL),
+    "hoelder": Suite(_hoelder, 1.0, _DEFAULT_TOL),
+    "young_suite": Suite(_young, 1.0, _DEFAULT_TOL),
+    "verification_ineq": Suite(_verification_ineq, 2.0, _LUX_TOL),
+    "thm31_first": Suite(_thm31_first, 4.0, _LUX_TOL),
+    "thm31_witness": Suite(_thm31_witness, 1.0, _LUX_TOL),
+    "thm21_empirical": Suite(_thm21_empirical, 1.0, _DEFAULT_TOL, summary=_thm21_summary),
+    "maximal_equiv": Suite(_maximal_equiv, None, _DEFAULT_TOL, summary=_maximal_equiv_summary),
+    "cantor_suite": Suite(_cantor, 1.0, _DEFAULT_TOL, summary=_cantor_summary, once=True),
+    "cor32": Suite(_cor32, None, _DEFAULT_TOL, summary=_cor32_summary),
+    "thm33": Suite(_thm33, None, _DEFAULT_TOL, summary=_thm33_summary),
 }
 
 
@@ -654,18 +597,15 @@ def run_suite(name: str, trials: int, L: int, seed: int, n: int = 1, d: float = 
     """Run a registered suite; deterministic given (name, trials, L, seed, n, d)."""
     if name not in SUITES:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    config = LatticeConfig(n, L, d)
-    ctx = SuiteContext(config, trials, seed)
-    res = SUITES[name](ctx)
-
-    bound = res["bound"]
-    tol = res["tolerance"]
-    worst = float(res["worst_ratio"])
-    if bound is None:
+    suite = SUITES[name]
+    ctx = SuiteContext(LatticeConfig(n, L, d), trials, seed)
+    results = [suite.trial(ctx, 0)] if suite.once else _run_trials(ctx, suite.trial)
+    worst, empirical, payload, details = suite.summary(results)
+    worst = float(worst)
+    if suite.bound is None:
         passed = math.isfinite(worst)
     else:
-        passed = worst <= bound + tol
-    details = res.get("extra_details", {})
+        passed = worst <= suite.bound + suite.tolerance
     return VerificationReport(
         suite=name,
         trials=trials,
@@ -673,11 +613,11 @@ def run_suite(name: str, trials: int, L: int, seed: int, n: int = 1, d: float = 
         seed=seed,
         n=n,
         d=d,
-        bound=bound,
+        bound=suite.bound,
         worst_ratio=worst,
-        empirical_constant=float(res["empirical_constant"]),
-        tolerance=tol,
+        empirical_constant=float(empirical),
+        tolerance=suite.tolerance,
         status="pass" if passed else "fail",
-        counterexample=None if passed else _serialize_payload(res.get("payload")),
+        counterexample=None if passed else _serialize_payload(payload),
         details=details,
     )

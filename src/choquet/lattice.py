@@ -8,6 +8,12 @@ as set indicators and as measure densities.
 Leaf storage is dense: a flat float array in row-major (C) order over the
 (2^L,)*n coordinate grid.  This ordering is part of the file format and
 must not change.
+
+The cube tree is walked through a few primitives that every module uses:
+`children` and `parent` for single cubes, and for whole levels held as
+arrays shaped (2^k,)*n, `coarsen` (combine 2x...x2 blocks with a ufunc,
+one level up), `refine` (repeat entries, levels down) and `cube_blocks`
+(one row of leaf values per level-k cube).
 """
 
 from __future__ import annotations
@@ -33,12 +39,20 @@ __all__ = [
     "validate_tiling",
     "all_cubes",
     "cube_count",
+    "coarsen",
+    "refine",
+    "cube_blocks",
 ]
+
+_MAX_NL = 24  # largest n*L: 2^24 leaf cells, 128 MB per float64 grid
 
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Fixed lattice context: dimension n, max level L, content exponent d."""
+    """Fixed lattice context: dimension n, max level L, content exponent d.
+
+    n*L may be at most 24: the 2^(nL) leaf cells of a larger lattice do not
+    fit a float64 grid in memory."""
 
     n: int
     L: int
@@ -49,6 +63,10 @@ class LatticeConfig:
             raise ValueError(f"dimension n must be positive, got {self.n}")
         if self.L < 0:
             raise ValueError(f"resolution level L must be >= 0, got {self.L}")
+        if self.n * self.L > _MAX_NL:
+            raise ValueError(
+                f"lattice too large: n*L = {self.n * self.L} exceeds {_MAX_NL} (2^{_MAX_NL} leaf cells)"
+            )
         if not 0.0 < self.d < self.n:
             raise ValueError(f"content exponent d must satisfy 0 < d < n, got d={self.d}, n={self.n}")
 
@@ -141,6 +159,34 @@ def all_cubes(config: LatticeConfig, max_level: int | None = None):
 
 def cube_count(config: LatticeConfig) -> int:
     return (2 ** (config.n * (config.L + 1)) - 1) // (2**config.n - 1)
+
+
+def coarsen(a: np.ndarray, op=np.add) -> np.ndarray:
+    """Combine each 2x...x2 block with the ufunc `op`, halving every axis:
+    one level up the cube tree.  The block is reduced one axis at a time,
+    axis 0 first, as `a.sum` (`op=np.add`) or `a.min` (`op=np.minimum`)."""
+    for ax in range(a.ndim):
+        shape = a.shape[:ax] + (a.shape[ax] // 2, 2) + a.shape[ax + 1 :]
+        a = op.reduce(a.reshape(shape), axis=ax + 1)
+    return a
+
+
+def refine(a: np.ndarray, factor: int) -> np.ndarray:
+    """Repeat each entry `factor` times along every axis: a per-cube array
+    taken log2(factor) levels down the cube tree."""
+    for ax in range(a.ndim):
+        a = np.repeat(a, factor, axis=ax)
+    return a
+
+
+def cube_blocks(grid: np.ndarray, k: int) -> np.ndarray:
+    """Reshape a (2^L,)*n grid to (2^(nk), cells-per-cube): one row per
+    level-k cube, rows in C order of the cube index."""
+    n = grid.ndim
+    w = grid.shape[0] // 2**k
+    a = grid.reshape(sum(((2**k, w) for _ in range(n)), ()))
+    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    return a.transpose(order).reshape(2 ** (n * k), w**n)
 
 
 class GridFunction:

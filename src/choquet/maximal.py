@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import _coarsen_sum, _refine
-from .lattice import CubeId, GridFunction, LatticeConfig
+from .lattice import CubeId, GridFunction, LatticeConfig, coarsen, refine
 from .young import YoungFunction, luxemburg_norm_table
 
 __all__ = [
@@ -45,7 +44,7 @@ def _sweep(config: LatticeConfig, level_stats: list[np.ndarray]) -> MaximalResul
     best = np.full(config.grid_shape, level_stats[0].reshape(-1)[0])
     arg = np.zeros(config.grid_shape, dtype=int)
     for k in range(1, config.L + 1):
-        up = _refine(level_stats[k], 2 ** (config.L - k))
+        up = refine(level_stats[k], 2 ** (config.L - k))
         better = up > best  # strict: ties keep the larger cube
         best = np.where(better, up, best)
         arg = np.where(better, k, arg)
@@ -56,7 +55,7 @@ def _level_sums(grid: np.ndarray, L: int) -> list[np.ndarray]:
     """Sum of leaf values inside every cube, per level (index L..0 order reversed)."""
     sums = [grid]
     for _ in range(L):
-        sums.append(_coarsen_sum(sums[-1]))
+        sums.append(coarsen(sums[-1]))
     sums.reverse()
     return sums
 

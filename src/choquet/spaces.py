@@ -19,6 +19,8 @@ from .lattice import (
     GridFunction,
     LatticeConfig,
     Tiling,
+    children,
+    coarsen,
     cube_slices,
     measure_of_cube,
     validate_tiling,
@@ -123,8 +125,6 @@ class InadmissibleMeasureError(ValueError):
 
 def _check_admissible(mu: GridFunction, tol: float = 1e-12) -> None:
     config = mu.config
-    from .content import _coarsen_sum  # local import to avoid a cycle at module load
-
     sums = mu.grid * config.cell_volume
     for k in range(config.L, -1, -1):
         budget = 2.0 ** (-k * config.d)
@@ -133,7 +133,7 @@ def _check_admissible(mu: GridFunction, tol: float = 1e-12) -> None:
             idx = tuple(int(x) for x in bad[0])
             raise InadmissibleMeasureError(CubeId(k, idx), float(sums[idx]), budget)
         if k:
-            sums = _coarsen_sum(sums)
+            sums = coarsen(sums)
 
 
 @dataclass(frozen=True)
@@ -180,16 +180,11 @@ def dual_witness(
         b = float(phibar(fq).mean())
         weight = a ** (p - 1.0) * (measure_of_cube(mu, q) / q.volume) / (1.0 + b)
         out[sl] = weight * fq
-        F_q = GridFunction(config, np.where(_mask(config, q), out, 0.0).reshape(-1))
-        cert = q.side**alpha * luxemburg_norm(F_q, q, phibar)
+        F_q = np.zeros(config.grid_shape)
+        F_q[sl] = out[sl]
+        cert = q.side**alpha * luxemburg_norm(GridFunction(config, F_q.reshape(-1)), q, phibar)
         certs.append((q, cert, a))
     return DualWitness(GridFunction(config, out.reshape(-1)), tuple(certs))
-
-
-def _mask(config: LatticeConfig, q: CubeId) -> np.ndarray:
-    m = np.zeros(config.grid_shape, dtype=bool)
-    m[cube_slices(config, q)] = True
-    return m
 
 
 @dataclass(frozen=True)
@@ -261,11 +256,7 @@ def enumerate_tilings(config: LatticeConfig, max_level: int | None = None):
     def rec(q: CubeId):
         yield (q,)
         if q.level < top:
-            kids = sorted(
-                (CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner)))
-                 for corner in np.ndindex(*(2,) * config.n)),
-                key=lambda c: c.index,
-            )
+            kids = sorted(children(config, q), key=lambda c: c.index)
             parts = [list(rec(c)) for c in kids]
             idx = [0] * len(parts)
             while True:
@@ -294,11 +285,7 @@ def greedy_min_tiling(config: LatticeConfig, objective) -> tuple[Tiling, float]:
         for q in current:
             if q.level >= config.L:
                 continue
-            kids = [
-                CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner)))
-                for corner in np.ndindex(*(2,) * config.n)
-            ]
-            cand = Tiling((set(current.cubes) - {q}) | set(kids))
+            cand = Tiling((current.cubes - {q}) | children(config, q))
             v = objective(cand)
             if v < best_v - 1e-15:
                 best_t, best_v = cand, v

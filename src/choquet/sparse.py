@@ -18,6 +18,7 @@ import numpy as np
 
 from .content import choquet_norm, hausdorff_content_value
 from .lattice import CubeId, GridFunction, LatticeConfig, cube_slices, indicator
+from .young import ExpM1, luxemburg_norm
 
 __all__ = [
     "SparseFamily",
@@ -64,14 +65,6 @@ class SparseReport:
         return self.min_ratio >= eta
 
 
-def _strictly_inside(q: CubeId, p: CubeId) -> bool:
-    """Whether q is a strict descendant of p in the dyadic tree."""
-    if q.level <= p.level:
-        return False
-    shift = q.level - p.level
-    return all(jq >> shift == jp for jq, jp in zip(q.index, p.index))
-
-
 def verify_sparse(config: LatticeConfig, s: SparseFamily) -> SparseReport:
     """Canonical-witness sparseness check.
 
@@ -79,20 +72,35 @@ def verify_sparse(config: LatticeConfig, s: SparseFamily) -> SparseReport:
     witness sets are pairwise disjoint by construction.  Reports the minimum
     |E_Q|/|Q| and, as a secondary diagnostic, the Carleson packing constant
     sup_Q sum of |Q'| over family members Q' inside Q, divided by |Q|.
+
+    One walk up the tree per cube, O(F*L) for F cubes: a cube is a maximal
+    strict descendant of exactly its nearest family ancestor, and lies
+    inside every family ancestor.  Cubes go in (level, index) order, so
+    every sum adds its terms in that order.  Raises ValueError for a cube
+    outside the lattice (wrong dimension or level above L).
     """
     cubes = sorted(s.cubes, key=lambda q: (q.level, q.index))
+    for q in cubes:
+        cube_slices(config, q)  # raises for a cube outside the lattice
+    removed = {(q.level, q.index): 0.0 for q in cubes}
+    inside = dict(removed)
+    for p in cubes:
+        vol, nearest = p.volume, True
+        for up in range(1, p.level + 1):
+            key = (p.level - up, tuple(j >> up for j in p.index))
+            if key in inside:
+                inside[key] += vol
+                if nearest:
+                    removed[key] += vol
+                    nearest = False
     min_ratio, worst = np.inf, None
     carleson = 0.0
     for q in cubes:
-        inside = [p for p in cubes if p is not q and _strictly_inside(p, q)]
-        # maximal strict descendants: not inside another strict descendant
-        maximal = [p for p in inside if not any(_strictly_inside(p, r) for r in inside if r is not p)]
-        removed = sum(p.volume for p in maximal)
-        ratio = (q.volume - removed) / q.volume
+        key = (q.level, q.index)
+        ratio = (q.volume - removed[key]) / q.volume
         if ratio < min_ratio:
             min_ratio, worst = ratio, q
-        packed = q.volume + sum(p.volume for p in inside)
-        carleson = max(carleson, packed / q.volume)
+        carleson = max(carleson, (q.volume + inside[key]) / q.volume)
     if worst is None:
         min_ratio, carleson = 1.0, 0.0
     return SparseReport(float(min_ratio), float(carleson), worst)
@@ -191,8 +199,6 @@ def cantor_lux_bound(c: CantorConfig, L: int | None = None) -> dict:
     lambda0 = 2 / (n log(1/(1-delta))) makes the geometric factor
     Lambda0 = e^(1/lambda0) (1-delta)^n = (1-delta)^(n/2) < 1.
     """
-    from .young import ExpM1, luxemburg_norm
-
     one_minus_delta = 1.0 - c.delta
     lambda0 = 2.0 / (c.n * math.log(1.0 / one_minus_delta))
     Lambda0 = one_minus_delta ** (c.n / 2.0)

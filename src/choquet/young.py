@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction
+from .lattice import CubeId, GridFunction, cube_blocks
 
 __all__ = [
     "YoungFunction",
@@ -335,18 +335,6 @@ def luxemburg_norm(f: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     return float(_luxemburg_rows(phi, vals)[0])
 
 
-def _cube_blocks(grid: np.ndarray, k: int) -> np.ndarray:
-    """Reshape a (2^L,)*n grid to (2^(nk), cells-per-cube): one row per
-    level-k cube, rows in C order of the cube index."""
-    n = grid.ndim
-    side = grid.shape[0]
-    w = side // 2**k
-    shape = sum(((2**k, w) for _ in range(n)), ())
-    a = grid.reshape(shape)
-    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    return a.transpose(order).reshape(2 ** (n * k), w**n)
-
-
 def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray]:
     """Luxemburg norms of f over every lattice cube, one flat array per
     level (C order of the cube index).  Cached per (function, phi name):
@@ -354,7 +342,7 @@ def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray
     cache = f.__dict__.setdefault("_lux_tables", {})
     if phi.name not in cache:
         grid = np.abs(f.grid)
-        cache[phi.name] = [_luxemburg_rows(phi, _cube_blocks(grid, k)) for k in range(f.config.L + 1)]
+        cache[phi.name] = [_luxemburg_rows(phi, cube_blocks(grid, k)) for k in range(f.config.L + 1)]
     return cache[phi.name]
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from choquet.content import _cost_tables
 from choquet.lattice import CubeId, LatticeConfig, all_cubes, cube_slices
+from choquet.sparse import SparseFamily, SparseReport
 
 
 def _coarsen_sum_batch(a: np.ndarray) -> np.ndarray:
@@ -66,6 +67,35 @@ def stack_walk_cover(config: LatticeConfig, occ: np.ndarray) -> frozenset:
             for corner in np.ndindex(*(2,) * config.n):
                 stack.append(CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner))))
     return frozenset(cover)
+
+
+def _strictly_inside(q: CubeId, p: CubeId) -> bool:
+    """Whether q is a strict descendant of p in the dyadic tree."""
+    if q.level <= p.level:
+        return False
+    shift = q.level - p.level
+    return all(jq >> shift == jp for jq, jp in zip(q.index, p.index))
+
+
+def pairwise_verify_sparse(config: LatticeConfig, s: SparseFamily) -> SparseReport:
+    """Canonical-witness sparseness by comparing every pair of cubes, O(F^3):
+    for each cube, its strict descendants in the family, and among them
+    the maximal ones."""
+    cubes = sorted(s.cubes, key=lambda q: (q.level, q.index))
+    min_ratio, worst = np.inf, None
+    carleson = 0.0
+    for q in cubes:
+        inside = [p for p in cubes if p is not q and _strictly_inside(p, q)]
+        maximal = [p for p in inside if not any(_strictly_inside(p, r) for r in inside if r is not p)]
+        removed = sum(p.volume for p in maximal)
+        ratio = (q.volume - removed) / q.volume
+        if ratio < min_ratio:
+            min_ratio, worst = ratio, q
+        packed = q.volume + sum(p.volume for p in inside)
+        carleson = max(carleson, packed / q.volume)
+    if worst is None:
+        min_ratio, carleson = 1.0, 0.0
+    return SparseReport(float(min_ratio), float(carleson), worst)
 
 
 def brute_force_content(config: LatticeConfig, mask: np.ndarray) -> float:

@@ -89,6 +89,24 @@ def test_sparse_verify(capsys):
     assert doc["sparse_at_eta"] is True
 
 
+def test_sparse_verify_rejects_cube_outside_lattice(capsys):
+    # a 2-D cube in a 1-D lattice and a cube at level 9 > L
+    code, out, err = run(capsys, "--n", "1", "--L", "3", "--d", "0.5",
+                         "sparse", "verify", "--cubes", "0:0 1:0,0 9:5")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_lattice_too_large_is_usage_error(capsys):
+    # 2^40 cells would need 8 TiB per grid
+    code, out, err = run(capsys, "--n", "2", "--L", "20", "--d", "1.0",
+                         "verify", "adams", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert "too large" in err and "Traceback" not in err
+
+
 def test_cantor_content_and_lux(capsys):
     code, out, _ = run(capsys, "--n", "1", "--L", "8", "cantor", "content",
                        "--m", "2", "--depth", "3")

@@ -1,10 +1,12 @@
 import json
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from choquet.harness import SUITES, UnknownSuiteError, random_instance, run_suite
+from choquet.harness import SUITES, Suite, UnknownSuiteError, random_instance, run_suite
 from choquet.lattice import LatticeConfig, validate_tiling
 
 SMALL = dict(trials=10, L=3, seed=17, n=1, d=0.5)
@@ -72,17 +74,39 @@ def test_report_json_shape():
 
 
 def test_failure_reports_counterexample(monkeypatch):
-    import choquet.harness as h
-
-    def broken(ctx):
-        return dict(bound=1.0, tolerance=0.0, worst_ratio=2.0,
-                    empirical_constant=2.0, payload={"trial": 0})
-
-    monkeypatch.setitem(h.SUITES, "broken", broken)
+    broken = Suite(lambda ctx, i: (2.0, {"trial": i}), bound=1.0, tolerance=0.0)
+    monkeypatch.setitem(SUITES, "broken", broken)
     r = run_suite("broken", **SMALL)
     assert r.status == "fail"
-    assert r.counterexample is not None
+    assert r.counterexample == {"trial": 0}
+    assert r.worst_ratio == r.empirical_constant == 2.0
     assert not r.passed
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+
+
+def _assert_same_report(got, want, path="report"):
+    # floats to 1e-9 relative (libm may differ across CPUs), all else exact
+    if isinstance(want, float) and isinstance(got, float):
+        assert got == want or math.isclose(got, want, rel_tol=1e-9), path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            _assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_report(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+@pytest.mark.parametrize("want", GOLDEN, ids=lambda r: f"{r['suite']}-n{r['n']}L{r['L']}")
+def test_reports_match_golden(want):
+    # 13 suites at (1,6,0.5) and (2,4,1.0), recorded before the suite table
+    got = run_suite(want["suite"], want["trials"], want["L"], want["seed"], n=want["n"], d=want["d"])
+    _assert_same_report(json.loads(got.to_json()), want)
 
 
 def test_random_instance_function_contract():

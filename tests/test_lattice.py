@@ -12,11 +12,14 @@ from choquet.lattice import (
     all_cubes,
     cell_average,
     children,
+    coarsen,
+    cube_blocks,
     cube_count,
     cube_slices,
     indicator,
     measure_of_cube,
     parent,
+    refine,
     validate_tiling,
 )
 
@@ -34,6 +37,14 @@ def test_config_validation():
         LatticeConfig(2, 3, 2.5)
     with pytest.raises(ValueError):
         LatticeConfig(1, -1, 0.5)
+
+
+def test_config_caps_cell_count():
+    # n*L <= 24: 2^24 float64 cells are 128 MB
+    with pytest.raises(ValueError, match="too large"):
+        LatticeConfig(2, 13, 1.0)
+    assert LatticeConfig(1, 24, 0.5).num_cells == 2**24
+    assert LatticeConfig(3, 8, 1.5).num_cells == 2**24
 
 
 def test_cube_id_roundtrip():
@@ -156,6 +167,26 @@ def test_csv_roundtrip(tmp_path):
     f.to_csv(path)
     g = GridFunction.from_csv(path, cfg)
     assert np.array_equal(g.values, f.values)
+
+
+def test_tree_primitives_agree_with_cube_slices(rng):
+    cfg = LatticeConfig(2, 3, 1.0)
+    grid = rng.random(cfg.grid_shape)
+    for k in range(cfg.L + 1):
+        cubes = [q for q in all_cubes(cfg) if q.level == k]
+        rows = cube_blocks(grid, k)
+        level = grid
+        for _ in range(cfg.L - k):
+            level = coarsen(level)
+        low = grid
+        for _ in range(cfg.L - k):
+            low = coarsen(low, np.minimum)
+        for flat, q in enumerate(cubes):
+            block = grid[cube_slices(cfg, q)]
+            assert np.array_equal(np.sort(rows[flat]), np.sort(block.reshape(-1)))
+            assert level[q.index] == pytest.approx(block.sum(), rel=1e-12)
+            assert low[q.index] == block.min()
+        assert np.array_equal(coarsen(refine(level, 2), np.maximum), level)
 
 
 def test_cube_slices_cover_grid():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from choquet.content import choquet_norm, hausdorff_content
-from choquet.lattice import CubeId, GridFunction, LatticeConfig, cell_average, indicator
+from choquet.lattice import CubeId, GridFunction, LatticeConfig, all_cubes, cell_average, indicator
 from choquet.sparse import (
     CantorConfig,
     SparseFamily,
@@ -13,6 +13,7 @@ from choquet.sparse import (
     unboundedness_demo,
     verify_sparse,
 )
+from conftest import pairwise_verify_sparse
 
 ROOT1 = CubeId(0, (0,))
 
@@ -51,6 +52,32 @@ def test_verify_sparse_full_level_fails():
     rep = verify_sparse(cfg, SparseFamily(cubes, eta=0.5))
     assert rep.min_ratio == 0.0
     assert rep.worst_cube == ROOT1
+
+
+def test_verify_sparse_matches_pairwise_oracle():
+    # random families of up to 40 cubes at n <= 3, plus the Cantor families:
+    # the ancestor walk adds the same terms in the same order, so `==`
+    rng = np.random.default_rng(20261018)
+    for trial in range(600):
+        n = int(rng.integers(1, 4))
+        L = int(rng.integers(0, (6, 4, 3)[n - 1]))
+        cfg = LatticeConfig(n, L, n / 2)
+        pool = list(all_cubes(cfg))
+        size = int(rng.integers(0, min(40, len(pool)) + 1))
+        picks = rng.choice(len(pool), size=size, replace=False)
+        fam = SparseFamily([pool[i] for i in picks], eta=0.5)
+        assert verify_sparse(cfg, fam) == pairwise_verify_sparse(cfg, fam), (trial, sorted(map(str, fam.cubes)))
+    for c, L in [(CantorConfig(1, 2, 3), 8), (CantorConfig(1, 2, 4), 8), (CantorConfig(2, 2, 2), 6)]:
+        fam = cantor_family(c, L)
+        assert verify_sparse(fam.config, fam.family) == pairwise_verify_sparse(fam.config, fam.family)
+
+
+@pytest.mark.parametrize("bad", [CubeId(1, (0, 0)), CubeId(3, (5,))])
+def test_verify_sparse_rejects_cube_outside_lattice(bad):
+    # wrong dimension for n=1, and a level above L=2
+    cfg = LatticeConfig(1, 2, 0.5)
+    with pytest.raises(ValueError):
+        verify_sparse(cfg, SparseFamily([ROOT1, bad], eta=0.5))
 
 
 def test_apply_sparse_root_average(rng):
