@@ -205,12 +205,26 @@ class SuiteContext:
         return random_instance(kind, self.config, [self.seed, trial, salt], **kw)
 
 
+def _thread_count() -> int:
+    """CHOQUET_THREADS as a positive int; unset or empty means 1."""
+    raw = os.environ.get("CHOQUET_THREADS", "")
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CHOQUET_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def _run_trials(ctx: SuiteContext, trial_fn):
     """Run trial_fn(ctx, i) -> (ratio, payload) over all trials, returning
     the per-trial results in trial order.  Parallelism (capped by the
     CHOQUET_THREADS env var) cannot change the outcome: each trial is
     seeded independently and results are reassembled in order."""
-    workers = int(os.environ.get("CHOQUET_THREADS", "1") or "1")
+    workers = _thread_count()
     indices = range(ctx.trials)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -597,6 +611,8 @@ def run_suite(name: str, trials: int, L: int, seed: int, n: int = 1, d: float = 
     """Run a registered suite; deterministic given (name, trials, L, seed, n, d)."""
     if name not in SUITES:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     suite = SUITES[name]
     ctx = SuiteContext(LatticeConfig(n, L, d), trials, seed)
     results = [suite.trial(ctx, 0)] if suite.once else _run_trials(ctx, suite.trial)

@@ -8,6 +8,13 @@ without a registered pair.
 Extended-real values are first-class: a Young function may be +inf beyond
 a finite threshold (the complementary of the identity is the canonical
 example), and Phi-averages propagate +inf deterministically.
+
+Luxemburg norms inf{lam : mean Phi(|f|/lam) <= 1} have one solver behind
+`luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`.  It uses
+closed forms for the identity, powers and their conjugates (the mean, the
+max, (mean |f|^p)^(1/p)), and for every other Phi a Newton iteration on
+s -> mean Phi(s|f|) inside a bisection bracket.  Each row stops on its own,
+so a cube's norm does not depend on which cubes share its batch.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ _LUX_MAX_STEPS = 200
 
 
 class LuxemburgConvergenceError(RuntimeError):
-    """Bisection failed to bracket or converge; the Young function is malformed."""
+    """The root search failed to bracket or converge; the Young function is malformed."""
 
 
 class YoungFunction:
@@ -67,6 +74,16 @@ class YoungFunction:
 
     def __repr__(self):
         return f"<YoungFunction {self.name}>"
+
+    def _cache_key(self):
+        """Type and parameters, for caches: `name` rounds the parameters for
+        display.  An instance with an unhashable attribute is its own key."""
+        params = tuple(sorted((k, v) for k, v in vars(self).items() if k != "name"))
+        try:
+            hash(params)
+        except TypeError:
+            return self
+        return type(self), params
 
 
 class Identity(YoungFunction):
@@ -248,6 +265,9 @@ class NumericConjugate(YoungFunction):
         t = np.asarray(t, dtype=float)
         return (self(t + h) - self(np.maximum(t - h, 0.0))) / (2.0 * h)
 
+    def _cache_key(self):
+        return type(self), self.phi._cache_key()
+
 
 def numeric_conjugate(phi: YoungFunction) -> NumericConjugate:
     return NumericConjugate(phi)
@@ -272,60 +292,93 @@ def by_name(name: str) -> YoungFunction:
     raise ValueError(f"unknown Young function {name!r}")
 
 
-def _phi_mean(phi: YoungFunction, vals: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Row-wise mean of Phi(vals / lam); +inf where any entry exceeds the
+def _phi_mean(phi: YoungFunction, scaled: np.ndarray) -> np.ndarray:
+    """Row-wise mean of Phi(scaled); +inf where any entry exceeds the
     finiteness threshold."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scaled = vals / lam[:, None]
-        out = phi(scaled)
-        mean = out.mean(axis=1)
+        mean = phi(scaled).mean(axis=1)
     if np.isfinite(phi.finite_threshold):
-        blown = (scaled > phi.finite_threshold).any(axis=1)
-        mean = np.where(blown, np.inf, mean)
+        mean = np.where((scaled > phi.finite_threshold).any(axis=1), np.inf, mean)
     return mean
 
 
+# The norm of each row w of a batch whose largest entry is 1, for the Young
+# functions where mean Phi(w / lam) = 1 solves in closed form.  Keyed on the
+# exact type: a subclass may override Phi and goes to the iterative solver.
+_CLOSED_FORMS = {
+    Identity: lambda phi, w: w.mean(axis=1),
+    IdentityConjugate: lambda phi, w: np.ones(w.shape[0]),
+    Power: lambda phi, w: (w**phi.p).mean(axis=1) ** (1.0 / phi.p),
+    PowerConjugate: lambda phi, w: (phi.coeff * (w**phi.pprime).mean(axis=1)) ** (1.0 / phi.pprime),
+}
+
+
+def _unit_roots(phi: YoungFunction, w: np.ndarray) -> np.ndarray:
+    """The s > 0 with G(s) = mean Phi(s w) = 1 on each row w (largest entry 1).
+
+    G is convex and nondecreasing.  A Newton step from a point with G > 1
+    moves down to the root without passing it, and one from a point with
+    G <= 1 lands at or beyond the root, so the iterates fall monotonically
+    after the first step across.  Each iterate narrows a bracket [lo, hi],
+    which starts as [0, inf].  The step doubles s, halves it or bisects the
+    bracket instead when the Newton step is not finite, leaves the bracket,
+    more than doubles s, or is over half the step before last (so a slow
+    linear phase, as for e^t far right of the root, still halves the
+    bracket), and always when Phi has no `deriv`.  A row leaves the active
+    set once its step or its bracket is within the tolerance, so its answer
+    depends on its own values alone."""
+    out = np.empty(w.shape[0])
+    idx = np.arange(w.shape[0])
+    s = np.ones(w.shape[0])
+    lo, hi = np.zeros_like(s), np.full_like(s, np.inf)
+    last, before_last = hi.copy(), hi.copy()
+    newton = True
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_LUX_MAX_STEPS):
+            x = s[:, None] * w
+            g = _phi_mean(phi, x) - 1.0
+            over = g > 0.0
+            lo, hi = np.where(over, lo, s), np.where(over, s, hi)
+            new = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
+            if newton:
+                try:
+                    dphi = phi.deriv(x)
+                except NotImplementedError:
+                    newton = False
+                else:
+                    slope = (w * dphi).mean(axis=1)
+                    cand = s - g / slope
+                    ok = ((slope > 0.0) & (slope < np.inf) & (cand > 0.0) & (cand >= lo)
+                          & (cand <= np.minimum(hi, 2.0 * s)) & (np.abs(cand - s) <= 0.5 * before_last))
+                    new = np.where(ok, cand, new)
+            step = np.abs(new - s)
+            done = (step <= _LUX_REL_TOL * new) | (hi - lo <= _LUX_REL_TOL * lo)
+            s, last, before_last = new, step, last
+            if done.any():
+                out[idx[done]] = s[done]
+                keep = ~done
+                if not keep.any():
+                    return out
+                idx, w, s, lo, hi = idx[keep], w[keep], s[keep], lo[keep], hi[keep]
+                last, before_last = last[keep], before_last[keep]
+    if np.isinf(hi).any() or not lo.all():
+        raise LuxemburgConvergenceError("failed to bracket the root")
+    raise LuxemburgConvergenceError(f"root not found in {_LUX_MAX_STEPS} steps")
+
+
 def _luxemburg_rows(phi: YoungFunction, vals: np.ndarray) -> np.ndarray:
-    """Luxemburg norm of each row of `vals` (nonnegative), via monotone
-    bisection on lambda -> mean Phi(vals/lambda)."""
+    """Luxemburg norm of each row of `vals`.  Each row is divided by its
+    largest |entry| m first, so no power overflows; the norm is m times the
+    closed form, or m / s with s from `_unit_roots`."""
     vals = np.abs(vals)
     mx = vals.max(axis=1)
     out = np.zeros(vals.shape[0])
     active = mx > 0.0
-    if not active.any():
-        return out
-    v = vals[active]
-    start = mx[active]
-
-    hi = start.copy()
-    for _ in range(_LUX_MAX_STEPS):
-        over = _phi_mean(phi, v, hi) > 1.0
-        if not over.any():
-            break
-        hi[over] *= 2.0
-    else:
-        raise LuxemburgConvergenceError("failed to bracket from above")
-
-    lo = np.minimum(start, hi) / 2.0
-    for _ in range(_LUX_MAX_STEPS):
-        under = _phi_mean(phi, v, lo) <= 1.0
-        if not under.any():
-            break
-        lo[under] /= 2.0
-    else:
-        raise LuxemburgConvergenceError("failed to bracket from below")
-
-    for _ in range(_LUX_MAX_STEPS):
-        if np.all(hi - lo <= _LUX_REL_TOL * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        ok = _phi_mean(phi, v, mid) <= 1.0
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    else:
-        raise LuxemburgConvergenceError("bisection did not converge in 200 steps")
-
-    out[active] = hi
+    if active.any():
+        m = mx[active]
+        w = vals[active] / m[:, None]
+        closed = _CLOSED_FORMS.get(type(phi))
+        out[active] = m / _unit_roots(phi, w) if closed is None else m * closed(phi, w)
     return out
 
 
@@ -337,19 +390,22 @@ def luxemburg_norm(f: GridFunction, q: CubeId, phi: YoungFunction) -> float:
 
 def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray]:
     """Luxemburg norms of f over every lattice cube, one flat array per
-    level (C order of the cube index).  Cached per (function, phi name):
-    GridFunction values are immutable, so the table never goes stale."""
+    level (C order of the cube index), each `==` to `luxemburg_norm` on
+    that cube.  Cached per (function, phi._cache_key()): GridFunction values
+    are immutable, so the table never goes stale."""
     cache = f.__dict__.setdefault("_lux_tables", {})
-    if phi.name not in cache:
+    key = phi._cache_key()
+    if key not in cache:
         grid = np.abs(f.grid)
-        cache[phi.name] = [_luxemburg_rows(phi, cube_blocks(grid, k)) for k in range(f.config.L + 1)]
-    return cache[phi.name]
+        cache[key] = [_luxemburg_rows(phi, cube_blocks(grid, k)) for k in range(f.config.L + 1)]
+    return cache[key]
 
 
 def phi_average(f: GridFunction, q: CubeId, phi: YoungFunction, lam: float) -> float:
     """Mean of Phi(|f|/lam) over q, with deterministic +inf propagation."""
-    vals = np.abs(f.restrict(q)).reshape(1, -1)
-    return float(_phi_mean(phi, vals, np.array([lam]))[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.abs(f.restrict(q)).reshape(1, -1) / lam
+    return float(_phi_mean(phi, scaled)[0])
 
 
 def young_equality_residual(phi: YoungFunction, t: float, phibar: YoungFunction | None = None) -> float:
@@ -410,11 +466,7 @@ def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction, points: i
     center = float(_luxemburg_rows(phi, vals.reshape(1, -1))[0])
     def objective(s: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            means = phi(vals[None, :] / s[:, None]).mean(axis=1)
-            if np.isfinite(phi.finite_threshold):
-                blown = (vals[None, :] / s[:, None] > phi.finite_threshold).any(axis=1)
-                means = np.where(blown, np.inf, means)
-            obj = s * (1.0 + means)
+            obj = s * (1.0 + _phi_mean(phi, vals[None, :] / s[:, None]))
         return np.where(np.isnan(obj), np.inf, obj)
 
     s_grid = center * np.exp2(np.linspace(-10.0, 10.0, points))

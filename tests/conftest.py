@@ -14,6 +14,7 @@ import pytest
 from choquet.content import _cost_tables
 from choquet.lattice import CubeId, LatticeConfig, all_cubes, cube_slices
 from choquet.sparse import SparseFamily, SparseReport
+from choquet.young import LuxemburgConvergenceError, YoungFunction
 
 
 def _coarsen_sum_batch(a: np.ndarray) -> np.ndarray:
@@ -96,6 +97,60 @@ def pairwise_verify_sparse(config: LatticeConfig, s: SparseFamily) -> SparseRepo
     if worst is None:
         min_ratio, carleson = 1.0, 0.0
     return SparseReport(float(min_ratio), float(carleson), worst)
+
+
+def _bisect_phi_mean(phi: YoungFunction, vals: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scaled = vals / lam[:, None]
+        mean = phi(scaled).mean(axis=1)
+    if np.isfinite(phi.finite_threshold):
+        mean = np.where((scaled > phi.finite_threshold).any(axis=1), np.inf, mean)
+    return mean
+
+
+def bisect_luxemburg_rows(phi: YoungFunction, vals: np.ndarray) -> np.ndarray:
+    """Luxemburg norm of each row of `vals` by bisection on lambda, with
+    every row bisected until all are within 1e-10 relative; returns the upper end,
+    where mean Phi(|row| / lambda) <= 1."""
+    vals = np.abs(vals)
+    mx = vals.max(axis=1)
+    out = np.zeros(vals.shape[0])
+    active = mx > 0.0
+    if not active.any():
+        return out
+    v = vals[active]
+    start = mx[active]
+
+    hi = start.copy()
+    for _ in range(200):
+        over = _bisect_phi_mean(phi, v, hi) > 1.0
+        if not over.any():
+            break
+        hi[over] *= 2.0
+    else:
+        raise LuxemburgConvergenceError("failed to bracket from above")
+
+    lo = np.minimum(start, hi) / 2.0
+    for _ in range(200):
+        under = _bisect_phi_mean(phi, v, lo) <= 1.0
+        if not under.any():
+            break
+        lo[under] /= 2.0
+    else:
+        raise LuxemburgConvergenceError("failed to bracket from below")
+
+    for _ in range(200):
+        if np.all(hi - lo <= 1e-10 * hi):
+            break
+        mid = 0.5 * (lo + hi)
+        ok = _bisect_phi_mean(phi, v, mid) <= 1.0
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    else:
+        raise LuxemburgConvergenceError("bisection did not converge in 200 steps")
+
+    out[active] = hi
+    return out
 
 
 def brute_force_content(config: LatticeConfig, mask: np.ndarray) -> float:

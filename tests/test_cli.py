@@ -146,6 +146,36 @@ def test_verify_deterministic_bytes(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["adams", "cor32"])
+def test_verify_rejects_non_positive_trials(capsys, suite, trials):
+    # no trial must not read as a pass with worst ratio -inf
+    code, out, err = run(capsys, "--n", "1", "--L", "3", "--d", "0.5",
+                         "verify", suite, "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "trials" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])
+def test_bad_thread_count_is_usage_error(capsys, monkeypatch, threads):
+    monkeypatch.setenv("CHOQUET_THREADS", threads)
+    code, out, err = run(capsys, "--n", "1", "--L", "3", "--d", "0.5",
+                         "verify", "adams", "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert "CHOQUET_THREADS" in err
+
+
+def test_empty_thread_count_means_one(capsys, monkeypatch):
+    args = ("--n", "1", "--L", "3", "--d", "0.5", "verify", "adams", "--trials", "2")
+    monkeypatch.setenv("CHOQUET_THREADS", "")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    monkeypatch.delenv("CHOQUET_THREADS")
+    assert run(capsys, *args) == (0, out, "")
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "--n", "1", "--L", "3", "--d", "0.5",
                        "verify", "bogus")

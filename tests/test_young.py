@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from choquet.lattice import CubeId, GridFunction, LatticeConfig
+from choquet.lattice import CubeId, GridFunction, LatticeConfig, all_cubes, cube_blocks
 from choquet.young import (
     ExpM1,
     ExpM1Conjugate,
@@ -17,13 +19,63 @@ from choquet.young import (
     check_delta2,
     check_nabla2,
     complementary,
+    _luxemburg_rows,
     luxemburg_norm,
+    luxemburg_norm_table,
     numeric_conjugate,
     phi_average,
     young_equality_residual,
 )
 
+from conftest import bisect_luxemburg_rows
+
 ROOT1 = CubeId(0, (0,))
+
+# Derandomized so every run checks the same examples; no example database.
+oracle_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+LEAF_VALUES = {
+    "continuous": lambda rng, size: rng.random(size) * 3.0,
+    "sparse": lambda rng, size: rng.random(size) * (rng.random(size) < 0.3),
+    "spread": lambda rng, size: np.exp(rng.normal(0.0, 4.0, size)),
+    "spike": lambda rng, size: np.where(np.arange(size) == rng.integers(size), 7.0, 1e-6),
+    "constant": lambda rng, size: np.full(size, 1.75),
+    "zero": lambda rng, size: np.zeros(size),
+}
+MAX_L = {1: 6, 2: 3, 3: 2}
+NUMERIC_LLOGL = numeric_conjugate(LlogL())
+
+
+@st.composite
+def lattice_functions(draw, max_cells=None):
+    n = draw(st.integers(1, 3))
+    max_l = MAX_L[n] if max_cells is None else min(MAX_L[n], int(np.log2(max_cells)) // n)
+    cfg = LatticeConfig(n, draw(st.integers(0, max_l)), 0.5)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return GridFunction(cfg, LEAF_VALUES[draw(st.sampled_from(sorted(LEAF_VALUES)))](rng, cfg.num_cells))
+
+
+@st.composite
+def builtin_phis(draw):
+    p = draw(st.floats(1.05, 6.0))
+    return draw(st.sampled_from([Identity(), IdentityConjugate(), Power(p), PowerConjugate(p),
+                                 LlogL(), ExpM1(), ExpM1Conjugate()]))
+
+
+def _assert_matches_oracle(f, phi):
+    table = luxemburg_norm_table(f, phi)
+    grid = np.abs(f.grid)
+    for k in range(f.config.L + 1):
+        want = bisect_luxemburg_rows(phi, cube_blocks(grid, k))
+        assert np.array_equal(table[k] == 0.0, want == 0.0)
+        np.testing.assert_allclose(table[k], want, rtol=1e-9, atol=0.0)
+
+
+def _assert_table_is_single_cube(f, phi):
+    table = luxemburg_norm_table(f, phi)
+    for q in all_cubes(f.config):
+        flat = int(np.ravel_multi_index(q.index, (2**q.level,) * f.config.n))
+        assert luxemburg_norm(f, q, phi) == table[q.level][flat], q
 
 
 def test_power_conjugate_closed_form():
@@ -155,7 +207,7 @@ def test_luxemburg_normalization_unit_mean(rng):
         for _ in range(10):
             f = GridFunction(cfg, rng.random(cfg.num_cells) + 0.05)
             lam = luxemburg_norm(f, ROOT1, phi)
-            assert phi_average(f, ROOT1, phi, lam) == pytest.approx(1.0, abs=1e-8)
+            assert phi_average(f, ROOT1, phi, lam) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_luxemburg_non_convergence():
@@ -192,3 +244,79 @@ def test_amemiya_sandwich(rng):
             lux = luxemburg_norm(f, ROOT1, phi)
             am = amemiya_functional(f, ROOT1, phi)
             assert lux - 1e-8 <= am <= 2 * lux + 1e-8
+
+
+@oracle_settings
+@given(lattice_functions(), builtin_phis())
+def test_luxemburg_matches_bisection_oracle(f, phi):
+    _assert_matches_oracle(f, phi)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(lattice_functions(max_cells=4))
+def test_luxemburg_numeric_conjugate_matches_bisection_oracle(f):
+    _assert_matches_oracle(f, NUMERIC_LLOGL)
+    _assert_table_is_single_cube(f, NUMERIC_LLOGL)
+
+
+@oracle_settings
+@given(lattice_functions(), builtin_phis())
+def test_luxemburg_table_equals_single_cube(f, phi):
+    _assert_table_is_single_cube(f, phi)
+
+
+@oracle_settings
+@given(lattice_functions(), builtin_phis(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_luxemburg_row_does_not_depend_on_batch(f, phi, level, seed):
+    # f's level-k cubes solved alone and inside a batch of unrelated rows
+    rows = cube_blocks(np.abs(f.grid), min(level, f.config.L))
+    rng = np.random.default_rng(seed)
+    others = np.exp(rng.normal(0.0, 3.0, (5, rows.shape[1]))) * (rng.random((5, rows.shape[1])) < 0.7)
+    batch = _luxemburg_rows(phi, np.vstack([others, rows, others]))
+    alone = [_luxemburg_rows(phi, row[None, :])[0] for row in rows]
+    assert list(batch[len(others): len(others) + len(rows)]) == alone
+
+
+@oracle_settings
+@given(lattice_functions(), builtin_phis(), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_luxemburg_homogeneous_and_monotone_property(f, phi, c, seed):
+    shrink = np.random.default_rng(seed).random(f.config.num_cells)
+    scaled = GridFunction(f.config, c * f.values)
+    smaller = GridFunction(f.config, shrink * f.values)
+    for q in all_cubes(f.config):
+        norm = luxemburg_norm(f, q, phi)
+        assert luxemburg_norm(scaled, q, phi) == pytest.approx(c * norm, rel=1e-9, abs=0.0)
+        assert luxemburg_norm(smaller, q, phi) <= norm * (1.0 + 1e-9)
+
+
+def test_luxemburg_table_cache_keys_on_parameters():
+    # `name` prints p with :g, so both exponents are named "power:1.5"
+    cfg = LatticeConfig(1, 3, 0.5)
+    f = GridFunction(cfg, np.arange(1.0, 9.0))
+    near = Power(1.5000004)
+    assert near.name == Power(1.5).name == "power:1.5"
+    assert luxemburg_norm_table(f, Power(1.5))[0][0] != luxemburg_norm(f, ROOT1, near)
+    assert luxemburg_norm_table(f, near)[0][0] == luxemburg_norm(f, ROOT1, near)
+    # parameters inside a numeric conjugate count too; equal parameters share
+    g = GridFunction(cfg, np.arange(1.0, 9.0) / 8.0)
+    for phi in [numeric_conjugate(Power(2.0)), numeric_conjugate(Power(2.0000001))]:
+        assert luxemburg_norm_table(g, phi)[0][0] == luxemburg_norm(g, ROOT1, phi)
+    assert luxemburg_norm_table(f, Power(1.5)) is luxemburg_norm_table(f, Power(1.5))
+
+
+def test_luxemburg_without_deriv_bisects():
+    class Cube(YoungFunction):
+        name = "cube"
+
+        def __call__(self, t):
+            return np.asarray(t, dtype=float) ** 3
+
+    with pytest.raises(NotImplementedError):
+        Cube().deriv(np.ones(1))
+    cfg = LatticeConfig(2, 3, 1.0)
+    rng = np.random.default_rng(5)
+    for values in [rng.random(cfg.num_cells), np.exp(rng.normal(0.0, 4.0, cfg.num_cells))]:
+        f = GridFunction(cfg, values)
+        for got, want in zip(luxemburg_norm_table(f, Cube()), luxemburg_norm_table(f, Power(3))):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        _assert_table_is_single_cube(f, Cube())
