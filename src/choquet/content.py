@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction, LatticeConfig, coarsen, refine
+from .lattice import CubeId, GridFunction, LatticeConfig, coarsen, pyramid, refine
 
 __all__ = [
     "ContentResult",
@@ -59,17 +59,16 @@ def _cost_tables(config: LatticeConfig, occ_grid: np.ndarray):
     side^d is no worse than delegating to children.
     """
     L, d = config.L, config.d
+    occ = pyramid(occ_grid.astype(bool), np.logical_or)
     costs = [None] * (L + 1)
     take = [None] * (L + 1)
-    occ = occ_grid.astype(bool)
-    costs[L] = np.where(occ, 2.0 ** (-L * d), 0.0)
-    take[L] = occ.copy()
+    costs[L] = np.where(occ[L], 2.0 ** (-L * d), 0.0)
+    take[L] = occ[L]
     for k in range(L - 1, -1, -1):
         child_sum = coarsen(costs[k + 1])
-        occ = coarsen(occ.astype(np.int64)) > 0
         cube_cost = 2.0 ** (-k * d)
-        take[k] = occ & (cube_cost <= child_sum + _TIE_TOL)
-        costs[k] = np.where(occ, np.minimum(cube_cost, child_sum), 0.0)
+        take[k] = occ[k] & (cube_cost <= child_sum + _TIE_TOL)
+        costs[k] = np.where(occ[k], np.minimum(cube_cost, child_sum), 0.0)
     return costs, take
 
 

@@ -36,7 +36,8 @@ from .lattice import (
     all_cubes,
     children,
     coarsen,
-    cube_slices,
+    level_masks,
+    pyramid,
 )
 from .maximal import fractional_measure_maximal, hl_maximal, orlicz_fractional_maximal
 from .sparse import (
@@ -283,17 +284,14 @@ def _adams(ctx: SuiteContext, i: int):
 def _simple_trick(ctx: SuiteContext, i: int):
     config = ctx.config
     mu = ctx.instance("density", i)
-    sums = mu.grid * config.cell_volume
-    mins = fractional_measure_maximal(mu).values.grid
+    sums = pyramid(mu.grid * config.cell_volume)
+    mins = pyramid(fractional_measure_maximal(mu).values.grid, np.minimum)
     worst = 0.0
     for k in range(config.L, -1, -1):
-        ratio = sums * 2.0 ** (k * config.d)
-        ok = mins > 0.0
-        r = np.where(ok & (ratio > 0.0), ratio / np.where(ok, mins, 1.0), 0.0)
+        ratio = sums[k] * 2.0 ** (k * config.d)
+        ok = mins[k] > 0.0
+        r = np.where(ok & (ratio > 0.0), ratio / np.where(ok, mins[k], 1.0), 0.0)
         worst = max(worst, float(r.max()))
-        if k:
-            sums = coarsen(sums)
-            mins = coarsen(mins, np.minimum)
     return worst, {"mu": mu}
 
 
@@ -385,23 +383,19 @@ def _verification_ineq(ctx: SuiteContext, i: int):
     g = ctx.instance("function", i, salt=1)
     t = ctx.instance("tiling", i, salt=2)
     table = luxemburg_norm_table(g, phibar)
+    masks = level_masks(config, t.cubes)
 
-    tile_norm = np.zeros(config.grid_shape)
-    tile_level = np.zeros(config.grid_shape, dtype=int)
-    for q in t:
-        sl = cube_slices(config, q)
-        flat = int(np.ravel_multi_index(q.index, (2**q.level,) * config.n))
-        tile_norm[sl] = table[q.level][flat]
-        tile_level[sl] = q.level
-
+    # inside[Q] = sum over tiles T in Q of ||g||_T times T's leaf-cell count,
+    # bottom-up: a level-k tile adds its own term, a coarser cube its children's
     worst = 0.0
-    for q0 in all_cubes(config):
-        sl = cube_slices(config, q0)
-        inside = tile_level[sl] >= q0.level
-        lhs = float((tile_norm[sl] * inside).sum()) * config.cell_volume * q0.side**-config.d
-        flat = int(np.ravel_multi_index(q0.index, (2**q0.level,) * config.n))
-        rhs = q0.side ** (config.n - config.d) * float(table[q0.level][flat])
-        worst = max(worst, _ratio(lhs, rhs))
+    for k in range(config.L, -1, -1):
+        norms = table[k].reshape(masks[k].shape)
+        tiles = np.where(masks[k], norms * 2.0 ** (config.n * (config.L - k)), 0.0)
+        inside = tiles if k == config.L else tiles + coarsen(inside)
+        side = 2.0**-k
+        lhs = inside * config.cell_volume * side**-config.d
+        rhs = side ** (config.n - config.d) * norms
+        worst = max(worst, float(np.vectorize(_ratio)(lhs, rhs).max()))
     return worst, {"g": g, "tiling": [str(q) for q in t], "phibar": phibar.name}
 
 

@@ -13,7 +13,10 @@ The cube tree is walked through a few primitives that every module uses:
 `children` and `parent` for single cubes, and for whole levels held as
 arrays shaped (2^k,)*n, `coarsen` (combine 2x...x2 blocks with a ufunc,
 one level up), `refine` (repeat entries, levels down) and `cube_blocks`
-(one row of leaf values per level-k cube).
+(one row of leaf values per level-k cube).  A set of cubes is held as
+`level_masks` (one bool array per level); `paint` sums per-cube values
+over such a set onto the leaves, and `pyramid` combines a leaf grid up
+through every level.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ __all__ = [
     "coarsen",
     "refine",
     "cube_blocks",
+    "level_masks",
+    "paint",
+    "pyramid",
 ]
 
 _MAX_NL = 24  # largest n*L: 2^24 leaf cells, 128 MB per float64 grid
@@ -127,10 +133,8 @@ def children(config: LatticeConfig, q: CubeId) -> set[CubeId]:
     """The 2^n cubes at level q.level+1 partitioning q."""
     if q.level >= config.L:
         raise LevelOverflowError(f"cube {q} is at the finest level L={config.L}")
-    kids = set()
-    for corner in np.ndindex(*(2,) * config.n):
-        kids.add(CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner))))
-    return kids
+    return {CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner)))
+            for corner in np.ndindex(*(2,) * config.n)}
 
 
 def parent(q: CubeId) -> CubeId:
@@ -187,6 +191,36 @@ def cube_blocks(grid: np.ndarray, k: int) -> np.ndarray:
     a = grid.reshape(sum(((2**k, w) for _ in range(n)), ()))
     order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     return a.transpose(order).reshape(2 ** (n * k), w**n)
+
+
+def level_masks(config: LatticeConfig, cubes) -> list[np.ndarray]:
+    """The cube set as one bool array per level 0..L, shaped (2^k,)*n, true
+    at the members.  Raises ValueError for a cube outside the lattice."""
+    masks = [np.zeros((2**k,) * config.n, dtype=bool) for k in range(config.L + 1)]
+    for q in cubes:
+        cube_slices(config, q)  # raises for a cube outside the lattice
+        masks[q.level][q.index] = True
+    return masks
+
+
+def paint(masks: list[np.ndarray], per_level) -> np.ndarray:
+    """The leaf grid where each cell holds the sum, over the marked cubes
+    containing it, of per_level[k]: a scalar or an array shaped like
+    masks[k] (one value per level-k cube).  Terms are added coarsest first,
+    one `refine` per level."""
+    out = np.where(masks[0], per_level[0], 0)
+    for m, v in zip(masks[1:], per_level[1:]):
+        out = refine(out, 2) + np.where(m, v, 0)
+    return out
+
+
+def pyramid(grid: np.ndarray, op=np.add) -> list[np.ndarray]:
+    """Every cube's `op`-combination of the leaf values inside it, one array
+    per level shaped (2^k,)*n, coarsest first: repeated `coarsen`."""
+    levels = [grid]
+    while levels[-1].shape[0] > 1:
+        levels.append(coarsen(levels[-1], op))
+    return levels[::-1]
 
 
 class GridFunction:
@@ -264,10 +298,8 @@ class GridFunction:
 
 def indicator(config: LatticeConfig, cubes) -> GridFunction:
     """Indicator of a union of lattice cubes."""
-    grid = np.zeros(config.grid_shape)
-    for q in cubes if not isinstance(cubes, CubeId) else [cubes]:
-        grid[cube_slices(config, q)] = 1.0
-    return GridFunction(config, grid.reshape(-1))
+    masks = level_masks(config, [cubes] if isinstance(cubes, CubeId) else cubes)
+    return GridFunction(config, (paint(masks, [1] * len(masks)) > 0).astype(float))
 
 
 def cell_average(f: GridFunction, q: CubeId) -> float:
@@ -313,9 +345,8 @@ class TilingReport:
 
 def validate_tiling(config: LatticeConfig, t: Tiling) -> TilingReport:
     """Accept iff the cubes cover every leaf cell exactly once."""
-    counts = np.zeros(config.grid_shape, dtype=int)
-    for q in t.cubes:
-        counts[cube_slices(config, q)] += 1
+    masks = level_masks(config, t.cubes)
+    counts = paint(masks, [1] * len(masks))
     bad = np.argwhere(counts != 1)
     if bad.size == 0:
         return TilingReport(ok=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction, LatticeConfig, coarsen, refine
+from .lattice import CubeId, GridFunction, LatticeConfig, pyramid, refine
 from .young import YoungFunction, luxemburg_norm_table
 
 __all__ = [
@@ -51,21 +51,11 @@ def _sweep(config: LatticeConfig, level_stats: list[np.ndarray]) -> MaximalResul
     return MaximalResult(GridFunction(config, best.reshape(-1)), arg)
 
 
-def _level_sums(grid: np.ndarray, L: int) -> list[np.ndarray]:
-    """Sum of leaf values inside every cube, per level (index L..0 order reversed)."""
-    sums = [grid]
-    for _ in range(L):
-        sums.append(coarsen(sums[-1]))
-    sums.reverse()
-    return sums
-
-
 def hl_maximal(f: GridFunction) -> MaximalResult:
     """Dyadic Hardy-Littlewood maximal function: per leaf, the largest
     average of |f| over the ancestor cubes."""
     config = f.config
-    sums = _level_sums(np.abs(f.grid), config.L)
-    stats = [sums[k] / 2 ** ((config.L - k) * config.n) for k in range(config.L + 1)]
+    stats = [sums / 2 ** ((config.L - k) * config.n) for k, sums in enumerate(pyramid(np.abs(f.grid)))]
     return _sweep(config, stats)
 
 
@@ -77,8 +67,7 @@ def fractional_measure_maximal(mu: GridFunction, d: float | None = None) -> Maxi
     config = mu.config
     if d is None:
         d = config.d
-    sums = _level_sums(mu.grid, config.L)
-    stats = [sums[k] * config.cell_volume * 2.0 ** (k * d) for k in range(config.L + 1)]
+    stats = [sums * config.cell_volume * 2.0 ** (k * d) for k, sums in enumerate(pyramid(mu.grid))]
     return _sweep(config, stats)
 
 
@@ -89,6 +78,5 @@ def orlicz_fractional_maximal(f: GridFunction, alpha: float, phi: YoungFunction)
     if not 0.0 < alpha < config.n:
         raise ValueError(f"alpha must lie in (0, n), got {alpha}")
     norms = luxemburg_norm_table(f, phi)
-    shape = lambda k: (2**k,) * config.n  # noqa: E731
-    stats = [2.0 ** (-k * alpha) * norms[k].reshape(shape(k)) for k in range(config.L + 1)]
+    stats = [2.0 ** (-k * alpha) * norms[k].reshape((2**k,) * config.n) for k in range(config.L + 1)]
     return _sweep(config, stats)

@@ -20,9 +20,12 @@ from .lattice import (
     LatticeConfig,
     Tiling,
     children,
-    coarsen,
     cube_slices,
+    indicator,
+    level_masks,
     measure_of_cube,
+    paint,
+    pyramid,
     validate_tiling,
 )
 from .maximal import fractional_measure_maximal, orlicz_fractional_maximal
@@ -70,27 +73,26 @@ def orlicz_morrey_norm(f: GridFunction, p: float, phi: YoungFunction) -> float:
     return choquet_norm(orlicz_fractional_maximal(f, alpha, phi).values, p)
 
 
-def _tile_profile(f: GridFunction, phi: YoungFunction, t: Tiling) -> list[tuple[CubeId, float]]:
+def _tile_profile(f: GridFunction, phi: YoungFunction, t: Tiling, term) -> np.ndarray:
+    """The leaf grid holding term(side, a) on each tile, for its side and
+    Luxemburg norm a.  `term` runs on Python floats (object arrays): numpy's
+    vectorised `**` can differ from the scalar one in the last bit."""
+    _require_tiling(f.config, t)
     table = luxemburg_norm_table(f, phi)
-    side = lambda k: 2**k  # noqa: E731
-    out = []
-    for q in t:
-        flat = int(np.ravel_multi_index(q.index, (side(q.level),) * f.config.n))
-        out.append((q, float(table[q.level][flat])))
-    return out
+    masks = level_masks(f.config, t.cubes)
+    per_level = [np.zeros(m.shape) for m in masks]
+    for k, (m, vals) in enumerate(zip(masks, per_level)):
+        vals[m] = term(2.0**-k, table[k].reshape(m.shape)[m].astype(object))
+    return paint(masks, per_level)
 
 
 def block_norm(f: GridFunction, p: float, phi: YoungFunction, t: Tiling) -> float:
     """Block norm: Choquet L^1 norm of the tile-wise p-th power Luxemburg
     profile, to the power 1/p."""
-    if p < 1:
-        raise ValueError(f"block exponent must satisfy p >= 1, got {p}")
-    config = f.config
-    _require_tiling(config, t)
-    step = np.zeros(config.grid_shape)
-    for q, a in _tile_profile(f, phi, t):
-        step[cube_slices(config, q)] = a**p
-    return choquet_integral(GridFunction(config, step.reshape(-1))) ** (1.0 / p)
+    if not 1 <= p < np.inf:
+        raise ValueError(f"block exponent must be finite with p >= 1, got {p}")
+    step = _tile_profile(f, phi, t, lambda side, a: a**p)
+    return choquet_integral(GridFunction(f.config, step)) ** (1.0 / p)
 
 
 def tiling_orlicz_morrey_norm(g: GridFunction, pprime: float, phibar: YoungFunction, t: Tiling) -> float:
@@ -98,16 +100,11 @@ def tiling_orlicz_morrey_norm(g: GridFunction, pprime: float, phibar: YoungFunct
     (side^(n-d) * Luxemburg norm)^p', to the power 1/p'."""
     if pprime < 1:
         raise ValueError(f"exponent must satisfy p' >= 1, got {pprime}")
-    config = g.config
-    _require_tiling(config, t)
-    alpha = config.n - config.d
-    profile = _tile_profile(g, phibar, t)
+    alpha = g.config.n - g.config.d
     if np.isinf(pprime):
-        return max(q.side**alpha * a for q, a in profile)
-    step = np.zeros(config.grid_shape)
-    for q, a in profile:
-        step[cube_slices(config, q)] = (q.side**alpha * a) ** pprime
-    return choquet_integral(GridFunction(config, step.reshape(-1))) ** (1.0 / pprime)
+        return float(_tile_profile(g, phibar, t, lambda side, a: side**alpha * a).max())
+    step = _tile_profile(g, phibar, t, lambda side, a: (side**alpha * a) ** pprime)
+    return choquet_integral(GridFunction(g.config, step)) ** (1.0 / pprime)
 
 
 def pairing(f: GridFunction, g: GridFunction) -> float:
@@ -125,15 +122,13 @@ class InadmissibleMeasureError(ValueError):
 
 def _check_admissible(mu: GridFunction, tol: float = 1e-12) -> None:
     config = mu.config
-    sums = mu.grid * config.cell_volume
-    for k in range(config.L, -1, -1):
+    levels = pyramid(mu.grid * config.cell_volume)
+    for k in range(config.L, -1, -1):  # finest first: report the smallest offending cube
         budget = 2.0 ** (-k * config.d)
-        bad = np.argwhere(sums > budget + tol)
+        bad = np.argwhere(levels[k] > budget + tol)
         if bad.size:
             idx = tuple(int(x) for x in bad[0])
-            raise InadmissibleMeasureError(CubeId(k, idx), float(sums[idx]), budget)
-        if k:
-            sums = coarsen(sums)
+            raise InadmissibleMeasureError(CubeId(k, idx), float(levels[k][idx]), budget)
 
 
 @dataclass(frozen=True)
@@ -169,22 +164,17 @@ def dual_witness(
     alpha = config.n - config.d
 
     out = np.zeros(config.grid_shape)
-    certs = []
-    for q in t:
-        a = luxemburg_norm(f, q, phi)
-        if a == 0.0:
-            certs.append((q, 0.0, 0.0))
-            continue
-        sl = cube_slices(config, q)
-        fq = phi.deriv(np.abs(f.grid[sl]) / a)
-        b = float(phibar(fq).mean())
-        weight = a ** (p - 1.0) * (measure_of_cube(mu, q) / q.volume) / (1.0 + b)
-        out[sl] = weight * fq
-        F_q = np.zeros(config.grid_shape)
-        F_q[sl] = out[sl]
-        cert = q.side**alpha * luxemburg_norm(GridFunction(config, F_q.reshape(-1)), q, phibar)
-        certs.append((q, cert, a))
-    return DualWitness(GridFunction(config, out.reshape(-1)), tuple(certs))
+    norms = [(q, luxemburg_norm(f, q, phi)) for q in t]
+    for q, a in norms:
+        if a > 0.0:
+            sl = cube_slices(config, q)
+            fq = phi.deriv(np.abs(f.grid[sl]) / a)
+            b = float(phibar(fq).mean())
+            out[sl] = a ** (p - 1.0) * (measure_of_cube(mu, q) / q.volume) / (1.0 + b) * fq
+    F = GridFunction(config, out)
+    # the tiles are disjoint, so F restricted to a tile is that tile's F_Q
+    return DualWitness(F, tuple((q, q.side**alpha * luxemburg_norm(F, q, phibar) if a > 0.0 else 0.0, a)
+                                for q, a in norms))
 
 
 @dataclass(frozen=True)
@@ -198,18 +188,24 @@ class SpaceSpec:
     tiling: Tiling | None = None
 
 
+_SPACES = {  # tag: (the SpaceSpec fields it needs, the norm)
+    "morrey": (("p",), lambda g, s: morrey_norm(g, s.p)),
+    "orlicz_morrey": (("p", "phi"), lambda g, s: orlicz_morrey_norm(g, s.p, s.phi)),
+    "orlicz_morrey_inf": (("phi",), lambda g, s: orlicz_morrey_norm(g, np.inf, s.phi)),
+    "block": (("p", "phi", "tiling"), lambda g, s: block_norm(g, s.p, s.phi, s.tiling)),
+    "tiling_orlicz_morrey": (("p", "phi", "tiling"), lambda g, s: tiling_orlicz_morrey_norm(g, s.p, s.phi, s.tiling)),
+}
+
+
 def space_norm(g: GridFunction, spec: SpaceSpec) -> float:
-    if spec.tag == "morrey":
-        return morrey_norm(g, spec.p)
-    if spec.tag == "orlicz_morrey":
-        return orlicz_morrey_norm(g, spec.p, spec.phi)
-    if spec.tag == "orlicz_morrey_inf":
-        return orlicz_morrey_norm(g, np.inf, spec.phi)
-    if spec.tag == "block":
-        return block_norm(g, spec.p, spec.phi, spec.tiling)
-    if spec.tag == "tiling_orlicz_morrey":
-        return tiling_orlicz_morrey_norm(g, spec.p, spec.phi, spec.tiling)
-    raise ValueError(f"unknown space tag {spec.tag!r}")
+    """The norm spec names; ValueError for an unknown tag or a missing field."""
+    if spec.tag not in _SPACES:
+        raise ValueError(f"unknown space tag {spec.tag!r}")
+    fields, norm = _SPACES[spec.tag]
+    missing = [name for name in fields if getattr(spec, name) is None]
+    if missing:
+        raise ValueError(f"space {spec.tag!r} needs {', '.join(missing)}")
+    return norm(g, spec)
 
 
 def associate_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed: int) -> float:
@@ -237,10 +233,8 @@ def associate_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed
             g = frostman_measure(GridFunction(config, mask.astype(float)))
         else:
             k = int(rng.integers(0, config.L + 1))
-            idx = tuple(int(rng.integers(0, 2**k)) for _ in range(config.n))
-            grid = np.zeros(config.grid_shape)
-            grid[cube_slices(config, CubeId(k, idx))] = float(rng.random()) + 0.5
-            g = GridFunction(config, grid.reshape(-1))
+            q = CubeId(k, tuple(int(rng.integers(0, 2**k)) for _ in range(config.n)))
+            g = GridFunction(config, indicator(config, q).values * (float(rng.random()) + 0.5))
         denom = space_norm(g, spec)
         if denom <= 0.0:
             continue

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import choquet_norm, hausdorff_content_value
-from .lattice import CubeId, GridFunction, LatticeConfig, cube_slices, indicator
+from .lattice import CubeId, GridFunction, LatticeConfig, cube_slices, indicator, level_masks, paint, pyramid
 from .young import ExpM1, luxemburg_norm
 
 __all__ = [
@@ -109,12 +109,8 @@ def verify_sparse(config: LatticeConfig, s: SparseFamily) -> SparseReport:
 def apply_sparse(f: GridFunction, s: SparseFamily) -> GridFunction:
     """The sparse operator: sum over family cubes of (average of f over Q) * 1_Q."""
     config = f.config
-    out = np.zeros(config.grid_shape)
-    grid = f.grid
-    for q in s.cubes:
-        sl = cube_slices(config, q)
-        out[sl] += grid[sl].mean()
-    return GridFunction(config, out.reshape(-1))
+    means = [sums / 2 ** (config.n * (config.L - k)) for k, sums in enumerate(pyramid(f.grid))]
+    return GridFunction(config, paint(level_masks(config, s.cubes), means))
 
 
 @dataclass(frozen=True)
@@ -170,13 +166,8 @@ def cantor_family(c: CantorConfig, L: int) -> CantorFamily:
     stages: list[tuple[CubeId, ...]] = [(CubeId(0, (0,) * c.n),)]
     step = 2**c.m  # refinement factor per stage
     for k in range(1, c.K + 1):
-        prev = stages[-1]
-        cur = []
-        for q in prev:
-            for corner in np.ndindex(*(2,) * c.n):
-                idx = tuple(j * step + b * (step - 1) for j, b in zip(q.index, corner))
-                cur.append(CubeId(c.m * k, idx))
-        stages.append(tuple(cur))
+        stages.append(tuple(CubeId(c.m * k, tuple(j * step + b * (step - 1) for j, b in zip(q.index, corner)))
+                            for q in stages[-1] for corner in np.ndindex(*(2,) * c.n)))
     cubes = [q for stage in stages for q in stage]
     return CantorFamily(config, SparseFamily(cubes, c.eta), tuple(stages))
 

@@ -3,16 +3,18 @@
 The brute-force routines here recompute quantities the library obtains
 by dynamic programming or greedy search, using exhaustive enumeration
 or linear programming instead.  They are deliberately slow and only
-usable at tiny resolutions.
+usable at tiny resolutions.  The Hypothesis strategies at the end draw
+the small lattices, tilings and cube families those oracles run on.
 """
 
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from choquet.content import _cost_tables
-from choquet.lattice import CubeId, LatticeConfig, all_cubes, cube_slices
+from choquet.lattice import CubeId, LatticeConfig, all_cubes, children, cube_slices
 from choquet.sparse import SparseFamily, SparseReport
 from choquet.young import LuxemburgConvergenceError, YoungFunction
 
@@ -68,6 +70,42 @@ def stack_walk_cover(config: LatticeConfig, occ: np.ndarray) -> frozenset:
             for corner in np.ndindex(*(2,) * config.n):
                 stack.append(CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner))))
     return frozenset(cover)
+
+
+def slice_paint(config: LatticeConfig, cubes, value) -> np.ndarray:
+    """Leaf grid of the sum of value(q) * 1_q over the cubes, painted one
+    cube at a time through its leaf slices, in the order given."""
+    out = np.zeros(config.grid_shape)
+    for q in cubes:
+        out[cube_slices(config, q)] += value(q)
+    return out
+
+
+_MAX_L = {1: 5, 2: 3, 3: 2}  # n*L <= 6 keeps the slice oracles fast
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(1, 3))
+    return LatticeConfig(n, draw(st.integers(0, _MAX_L[n])), n / 2)
+
+
+@st.composite
+def tilings(draw, config):
+    """A random tiling: split each cube from the root on a drawn coin."""
+    cubes, stack = [], [CubeId(0, (0,) * config.n)]
+    while stack:
+        q = stack.pop()
+        if q.level < config.L and draw(st.booleans()):
+            stack.extend(sorted(children(config, q), key=lambda c: c.index))
+        else:
+            cubes.append(q)
+    return cubes
+
+
+def families(config):
+    """Any set of lattice cubes: nested, overlapping, or empty."""
+    return st.lists(st.sampled_from(list(all_cubes(config))), unique=True)
 
 
 def _strictly_inside(q: CubeId, p: CubeId) -> bool:

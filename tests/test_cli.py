@@ -80,6 +80,30 @@ def test_norm_morrey(capsys, set_file):
     assert float(out) > 0
 
 
+@pytest.mark.parametrize("args, missing", [
+    (["--space", "block", "--p", "1", "--phi", "power:2"], "tiling"),
+    (["--space", "block", "--phi", "power:2", "--tiling", "1:0 1:1"], "p"),
+    (["--space", "orlicz_morrey", "--p", "2"], "phi"),
+    (["--space", "morrey"], "p"),
+])
+def test_norm_missing_flag_is_usage_error(capsys, grid_file, args, missing):
+    code, out, err = run(capsys, "norm", "-i", grid_file, *args)
+    assert code == 2
+    assert out == ""
+    assert f"needs {missing}" in err and "Traceback" not in err
+
+
+def test_block_norm_infinite_p_is_usage_error(capsys, tmp_path):
+    # every tile norm is below 1, where p = inf once gave a silent 1.0
+    h = tmp_path / "h.json"
+    h.write_text(GridFunction(LatticeConfig(1, 2, 0.5), [0.0, 0.07, 0.03, 0.05]).to_json())
+    code, out, err = run(capsys, "norm", "-i", h, "--space", "block", "--p", "inf",
+                         "--phi", "power:2", "--tiling", "1:0 1:1")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_sparse_verify(capsys):
     code, out, _ = run(capsys, "--n", "1", "--L", "2", "--d", "0.5",
                        "sparse", "verify", "--cubes", "0:0 1:0", "--eta", "0.5")

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import configs, families, slice_paint, tilings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquet.lattice import (
     CubeId,
@@ -9,6 +12,7 @@ from choquet.lattice import (
     LatticeConfig,
     LevelOverflowError,
     Tiling,
+    TilingReport,
     all_cubes,
     cell_average,
     children,
@@ -17,11 +21,77 @@ from choquet.lattice import (
     cube_count,
     cube_slices,
     indicator,
+    level_masks,
     measure_of_cube,
+    paint,
     parent,
+    pyramid,
     refine,
     validate_tiling,
 )
+
+oracle_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _count_report(config, cubes):
+    """validate_tiling's report from slice-painted coverage counts."""
+    counts = slice_paint(config, cubes, lambda q: 1)
+    bad = np.argwhere(counts != 1)
+    if bad.size == 0:
+        return TilingReport(ok=True)
+    cell = tuple(int(x) for x in bad[0])
+    return TilingReport(ok=False, cell=cell, coverage=int(counts[cell]))
+
+
+@oracle_settings
+@given(data=st.data())
+def test_paint_matches_slice_oracle(data):
+    # added coarsest first, as slice_paint does on (level, index) order: ==
+    config = data.draw(configs())
+    cubes = data.draw(st.one_of(tilings(config), families(config)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    per_level = [rng.standard_normal((2**k,) * config.n) for k in range(config.L + 1)]
+    got = paint(level_masks(config, cubes), per_level)
+    ordered = sorted(cubes, key=lambda q: (q.level, q.index))
+    assert np.array_equal(got, slice_paint(config, ordered, lambda q: per_level[q.level][q.index]))
+    want = slice_paint(config, cubes, lambda q: 1.0) > 0
+    assert np.array_equal(indicator(config, cubes).grid, want.astype(float))
+
+
+@oracle_settings
+@given(data=st.data())
+def test_validate_tiling_matches_count_oracle(data):
+    config = data.draw(configs())
+    cubes = data.draw(tilings(config))
+    pool = list(all_cubes(config))
+    drop = data.draw(st.sets(st.sampled_from(cubes), max_size=2))
+    add = data.draw(st.sets(st.sampled_from(pool), max_size=2))
+    cubes = (set(cubes) - drop) | add  # under- or over-covered, or still a tiling
+    assert validate_tiling(config, Tiling(cubes)) == _count_report(config, cubes)
+
+
+@oracle_settings
+@given(config=configs(), seed=st.integers(0, 2**32 - 1))
+def test_pyramid_is_repeated_coarsen(config, seed):
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(-8, 9, config.grid_shape).astype(float)  # integer sums are exact
+    for op in (np.add, np.minimum, np.maximum):
+        levels = pyramid(grid, op)
+        assert len(levels) == config.L + 1
+        assert levels[config.L] is grid
+        for k in range(config.L, 0, -1):
+            assert np.array_equal(levels[k - 1], coarsen(levels[k], op))
+        for q in all_cubes(config):
+            assert levels[q.level][q.index] == op.reduce(grid[cube_slices(config, q)], axis=None)
+
+
+@pytest.mark.parametrize("bad", [CubeId(1, (0, 0)), CubeId(3, (5,))])
+def test_level_masks_reject_cube_outside_lattice(bad):
+    # wrong dimension for n=1, and a level above L=2
+    with pytest.raises(ValueError):
+        level_masks(LatticeConfig(1, 2, 0.5), [CubeId(0, (0,)), bad])
+    with pytest.raises(ValueError):
+        indicator(LatticeConfig(1, 2, 0.5), bad)
 
 
 def test_config_validation():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import configs, slice_paint, tilings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquet.content import choquet_integral, choquet_norm, frostman_measure
 from choquet.lattice import (
@@ -8,6 +11,7 @@ from choquet.lattice import (
     LatticeConfig,
     Tiling,
     indicator,
+    measure_of_cube,
     validate_tiling,
 )
 from choquet.maximal import fractional_measure_maximal
@@ -86,6 +90,40 @@ def test_block_norm_leaf_tiles_layer_cake(rng):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+oracle_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@oracle_settings
+@given(data=st.data())
+def test_tiled_norms_match_slice_oracle(data):
+    # the tile profile is scalar arithmetic on each tile's norm, painted once: ==
+    config = data.draw(configs())
+    t = data.draw(tilings(config))
+    phi = data.draw(st.sampled_from([Power(2.0), LlogL(), ExpM1()]))
+    p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = GridFunction(config, rng.random(config.num_cells))
+    alpha = config.n - config.d
+
+    def oracle(term):
+        step = slice_paint(config, t, lambda q: term(q.side, luxemburg_norm(f, q, phi)))
+        return choquet_integral(GridFunction(config, step)) ** (1.0 / p)
+
+    assert block_norm(f, p, phi, Tiling(t)) == oracle(lambda side, a: a**p)
+    assert tiling_orlicz_morrey_norm(f, p, phi, Tiling(t)) == oracle(lambda side, a: (side**alpha * a) ** p)
+    want = max(q.side**alpha * luxemburg_norm(f, q, phi) for q in t)
+    assert tiling_orlicz_morrey_norm(f, np.inf, phi, Tiling(t)) == want
+
+
+@pytest.mark.parametrize("p", [np.inf, np.nan, 0.5])
+def test_block_norm_requires_finite_p_at_least_one(p):
+    # p = inf once returned 1.0 silently when every tile norm was below 1 (0**0)
+    cfg = LatticeConfig(1, 2, 0.5)
+    h = GridFunction(cfg, [0.0, 0.07, 0.03, 0.05])
+    with pytest.raises(ValueError, match="block exponent must be finite"):
+        block_norm(h, p, Power(2), Tiling([CubeId(1, (0,)), CubeId(1, (1,))]))
+
+
 def test_tiling_orlicz_morrey_single_tile(rng):
     cfg = LatticeConfig(1, 3, 0.5)
     g = GridFunction(cfg, rng.random(cfg.num_cells))
@@ -138,6 +176,35 @@ def test_dual_witness_rejects_inadmissible():
     assert err.value.cube is not None
 
 
+def _finest_offender(mu: GridFunction, tol: float = 1e-12):
+    """The first cube, finest level first and C order within a level, whose
+    mass exceeds side^d."""
+    config = mu.config
+    for k in range(config.L, -1, -1):
+        for idx in np.ndindex(*(2**k,) * config.n):
+            if measure_of_cube(mu, CubeId(k, idx)) > 2.0 ** (-k * config.d) + tol:
+                return CubeId(k, idx)
+    return None
+
+
+@oracle_settings
+@given(config=configs(), seed=st.integers(0, 2**32 - 1))
+def test_inadmissible_measure_reports_finest_offender(config, seed):
+    rng = np.random.default_rng(seed)
+    # dyadic densities: every cube mass is exact, so the scan order alone decides
+    scale = 2.0 ** int(rng.integers(-3, config.n * config.L + 1)) / 8.0
+    mu = GridFunction(config, rng.integers(0, 9, config.num_cells) * scale)
+    f = GridFunction.constant(config, 1.0)
+    root = Tiling([CubeId(0, (0,) * config.n)])
+    want = _finest_offender(mu)
+    if want is None:
+        dual_witness(f, mu, 2.0, Power(2), root)
+    else:
+        with pytest.raises(InadmissibleMeasureError) as err:
+            dual_witness(f, mu, 2.0, Power(2), root)
+        assert err.value.cube == want
+
+
 def test_dual_witness_rejects_p_le_1():
     cfg = LatticeConfig(1, 1, 0.5)
     f = GridFunction.constant(cfg, 1.0)
@@ -154,6 +221,20 @@ def test_space_norm_dispatch(rng):
         g, 2.0, Power(2), t)
     with pytest.raises(ValueError):
         space_norm(g, SpaceSpec("nope"))
+
+
+@pytest.mark.parametrize("spec, missing", [
+    (SpaceSpec("block", p=1.0, phi=Power(2)), "tiling"),
+    (SpaceSpec("block", phi=Power(2), tiling=Tiling([ROOT1])), "p"),
+    (SpaceSpec("orlicz_morrey", p=2.0), "phi"),
+    (SpaceSpec("morrey"), "p"),
+    (SpaceSpec("tiling_orlicz_morrey"), "p, phi, tiling"),
+    (SpaceSpec("orlicz_morrey_inf"), "phi"),
+])
+def test_space_norm_names_missing_field(spec, missing):
+    g = GridFunction.constant(LatticeConfig(1, 2, 0.5), 1.0)
+    with pytest.raises(ValueError, match=f"needs {missing}$"):
+        space_norm(g, spec)
 
 
 def test_associate_lower_bound_basics(rng):

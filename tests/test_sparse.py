@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquet.content import choquet_norm, hausdorff_content
-from choquet.lattice import CubeId, GridFunction, LatticeConfig, all_cubes, cell_average, indicator
+from choquet.lattice import CubeId, GridFunction, LatticeConfig, all_cubes, cell_average, cube_slices, indicator
 from choquet.sparse import (
     CantorConfig,
     SparseFamily,
@@ -13,7 +15,7 @@ from choquet.sparse import (
     unboundedness_demo,
     verify_sparse,
 )
-from conftest import pairwise_verify_sparse
+from conftest import configs, families, pairwise_verify_sparse, slice_paint
 
 ROOT1 = CubeId(0, (0,))
 
@@ -95,6 +97,36 @@ def test_apply_sparse_superposition(rng):
     want = np.full(cfg.num_cells, f.values.mean())
     want[2:4] += cell_average(f, cubes[1])
     assert np.allclose(out.values, want)
+
+
+def _slice_apply_sparse(f: GridFunction, cubes) -> np.ndarray:
+    """The sparse operator one cube at a time: each cube's leaf mean, added
+    coarsest first."""
+    ordered = sorted(cubes, key=lambda q: (q.level, q.index))
+    return slice_paint(f.config, ordered, lambda q: f.grid[cube_slices(f.config, q)].mean())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_apply_sparse_matches_slice_oracle(data):
+    config = data.draw(configs())
+    cubes = data.draw(families(config))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fam = SparseFamily(cubes, eta=0.5)
+    # real data: the means are summed in another order, so a few ulps apart
+    f = GridFunction(config, rng.random(config.num_cells) * 10.0 ** rng.uniform(-3.0, 3.0))
+    got, want = apply_sparse(f, fam).grid, _slice_apply_sparse(f, cubes)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    # dyadic data: every sum and mean is exact, so the two agree bit for bit
+    f = GridFunction(config, rng.integers(-64, 65, config.num_cells) / 16.0)
+    assert np.array_equal(apply_sparse(f, fam).grid, _slice_apply_sparse(f, cubes))
+
+
+@pytest.mark.parametrize("bad", [CubeId(1, (0, 0)), CubeId(3, (5,))])
+def test_apply_sparse_rejects_cube_outside_lattice(bad):
+    f = GridFunction.constant(LatticeConfig(1, 2, 0.5), 1.0)
+    with pytest.raises(ValueError):
+        apply_sparse(f, SparseFamily([ROOT1, bad], eta=0.5))
 
 
 def test_cantor_config():
