@@ -40,6 +40,7 @@ __all__ = [
     "cell_average",
     "measure_of_cube",
     "validate_tiling",
+    "validate_masks",
     "all_cubes",
     "cube_count",
     "coarsen",
@@ -345,7 +346,11 @@ class TilingReport:
 
 def validate_tiling(config: LatticeConfig, t: Tiling) -> TilingReport:
     """Accept iff the cubes cover every leaf cell exactly once."""
-    masks = level_masks(config, t.cubes)
+    return validate_masks(level_masks(config, t.cubes))
+
+
+def validate_masks(masks: list[np.ndarray]) -> TilingReport:
+    """`validate_tiling` for a cube set already held as `level_masks`."""
     counts = paint(masks, [1] * len(masks))
     bad = np.argwhere(counts != 1)
     if bad.size == 0:

@@ -26,7 +26,7 @@ from .lattice import (
     measure_of_cube,
     paint,
     pyramid,
-    validate_tiling,
+    validate_masks,
 )
 from .maximal import fractional_measure_maximal, orlicz_fractional_maximal
 from .young import YoungFunction, luxemburg_norm, luxemburg_norm_table
@@ -47,15 +47,18 @@ __all__ = [
 ]
 
 
-def _require_tiling(config: LatticeConfig, t: Tiling) -> None:
-    report = validate_tiling(config, t)
+def _require_tiling(config: LatticeConfig, t: Tiling) -> list[np.ndarray]:
+    """The tiling's `level_masks`; ValueError unless it covers every leaf cell once."""
+    masks = level_masks(config, t.cubes)
+    report = validate_masks(masks)
     if not report.ok:
         raise ValueError(f"invalid tiling: {report.kind} cell {report.cell}")
+    return masks
 
 
 def morrey_norm(mu: GridFunction, p: float) -> float:
     """Choquet L^p norm of the fractional measure maximal function of mu."""
-    if p <= 1:
+    if not p > 1:  # false for NaN as well
         raise ValueError(f"Morrey exponent must satisfy p > 1, got {p}")
     return choquet_norm(fractional_measure_maximal(mu).values, p)
 
@@ -63,7 +66,7 @@ def morrey_norm(mu: GridFunction, p: float) -> float:
 def orlicz_morrey_norm(f: GridFunction, p: float, phi: YoungFunction) -> float:
     """Choquet L^p norm of the fractional Orlicz maximal function; the
     p = inf branch is the direct sup over all lattice cubes."""
-    if p <= 1:
+    if not p > 1:
         raise ValueError(f"Orlicz-Morrey exponent must satisfy p > 1, got {p}")
     config = f.config
     alpha = config.n - config.d
@@ -77,9 +80,8 @@ def _tile_profile(f: GridFunction, phi: YoungFunction, t: Tiling, term) -> np.nd
     """The leaf grid holding term(side, a) on each tile, for its side and
     Luxemburg norm a.  `term` runs on Python floats (object arrays): numpy's
     vectorised `**` can differ from the scalar one in the last bit."""
-    _require_tiling(f.config, t)
+    masks = _require_tiling(f.config, t)
     table = luxemburg_norm_table(f, phi)
-    masks = level_masks(f.config, t.cubes)
     per_level = [np.zeros(m.shape) for m in masks]
     for k, (m, vals) in enumerate(zip(masks, per_level)):
         vals[m] = term(2.0**-k, table[k].reshape(m.shape)[m].astype(object))
@@ -98,7 +100,7 @@ def block_norm(f: GridFunction, p: float, phi: YoungFunction, t: Tiling) -> floa
 def tiling_orlicz_morrey_norm(g: GridFunction, pprime: float, phibar: YoungFunction, t: Tiling) -> float:
     """Tiled Orlicz-Morrey norm: Choquet L^1 norm of the tile profile of
     (side^(n-d) * Luxemburg norm)^p', to the power 1/p'."""
-    if pprime < 1:
+    if not pprime >= 1:
         raise ValueError(f"exponent must satisfy p' >= 1, got {pprime}")
     alpha = g.config.n - g.config.d
     if np.isinf(pprime):
@@ -155,7 +157,7 @@ def dual_witness(
     The attached certificate side(Q)^(n-d) ||F_Q||_{Phibar;Q} is bounded by
     a^(p-1) whenever mu is admissible.
     """
-    if p <= 1:
+    if not p > 1:
         raise ValueError(f"exponent must satisfy p > 1, got {p}")
     config = f.config
     _require_tiling(config, t)

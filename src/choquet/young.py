@@ -10,16 +10,19 @@ a finite threshold (the complementary of the identity is the canonical
 example), and Phi-averages propagate +inf deterministically.
 
 Luxemburg norms inf{lam : mean Phi(|f|/lam) <= 1} have one solver behind
-`luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`.  It uses
-closed forms for the identity, powers and their conjugates (the mean, the
-max, (mean |f|^p)^(1/p)), and for every other Phi a Newton iteration on
-s -> mean Phi(s|f|) inside a bisection bracket.  Each row stops on its own,
-so a cube's norm does not depend on which cubes share its batch.
+`luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`.  Its rows
+are segments of one flat array with a length per row, summed by
+`np.add.reduceat`.  It uses closed forms for the identity, powers and their
+conjugates (the mean, the max, (mean |f|^p)^(1/p)), and for every other Phi
+a Newton iteration on s -> mean Phi(s|f|) inside a bisection bracket.  Each
+row stops on its own and its sums read its own entries only, so a cube's
+norm does not depend on which cubes share its solve: a table solves all its
+levels at once (a few at a time on large lattices) and still equals the
+single-cube value.  The Amemiya norm inf_s s(1 + mean Phi(|f|/s)) goes
+through the same solver, with Psi(t) = t Phi'(t) - Phi(t) in place of Phi.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -218,52 +221,73 @@ class ExpM1Conjugate(YoungFunction):
 
 class NumericConjugate(YoungFunction):
     """Grid Legendre transform: sup over s in [2^-40, 2^40] of ts - Phi(s),
-    locally refined by ternary search to relative tolerance 1e-8."""
+    locally refined by ternary search to relative tolerance 1e-9.  All
+    arguments of a call are solved together, each stopping on its own; the
+    maximiser is the derivative, since (Phi*)'(t) = (Phi')^-1(t)."""
 
     _GRID = np.exp2(np.linspace(-40.0, 40.0, 641))  # 8 points per octave
+    _CHUNK = 1024  # arguments per grid scan, so the scan array stays ~5 MB
+    _MEMO_SIZE = 2**16  # a table's Newton steps ask millions of distinct points
 
     def __init__(self, phi: YoungFunction):
         self.phi = phi
         self.name = f"conjugate:{phi.name}"
-        self._eval_scalar = lru_cache(maxsize=None)(self._eval_uncached)
+        self._memo = {}  # argument -> (value, maximiser); Newton asks Phi and Phi' at one point
 
-    def _objective(self, t: float, s: np.ndarray) -> np.ndarray:
+    def _objective(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             val = t * s - self.phi(s)
         return np.where(np.isnan(val), -np.inf, val)
 
-    def _eval_uncached(self, t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        vals = self._objective(t, self._GRID)
-        best = int(np.argmax(vals))
-        base = max(0.0, float(vals[best]))
-        lo = self._GRID[max(best - 1, 0)]
-        hi = self._GRID[min(best + 1, len(self._GRID) - 1)]
+    def _solve(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value and maximiser at each argument t."""
+        grid, top = self._GRID, len(self._GRID) - 1
+        best = np.concatenate([np.argmax(self._objective(c[:, None], grid), axis=1)
+                               for c in np.split(t, range(self._CHUNK, len(t), self._CHUNK))])
+        best_val = self._objective(t, grid[best])
+        lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, top)]
         # ternary refinement on the unimodal objective
+        idx, tt = np.arange(len(t)), t
+        lo_out, hi_out = lo.copy(), hi.copy()
         for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            v1 = float(self._objective(t, np.array([m1]))[0])
-            v2 = float(self._objective(t, np.array([m2]))[0])
-            if v1 < v2:
-                lo = m1
-            else:
-                hi = m2
-            if hi - lo <= 1e-9 * hi:
+            third = (hi - lo) / 3.0
+            m1, m2 = lo + third, hi - third
+            left = self._objective(tt, m1) < self._objective(tt, m2)
+            lo, hi = np.where(left, m1, lo), np.where(left, hi, m2)
+            done = hi - lo <= 1e-9 * hi
+            lo_out[idx], hi_out[idx] = lo, hi
+            if done.all():
                 break
-        mid = 0.5 * (lo + hi)
-        return max(base, float(self._objective(t, np.array([mid]))[0]), 0.0)
+            keep = ~done
+            idx, tt, lo, hi = idx[keep], tt[keep], lo[keep], hi[keep]
+        mid = 0.5 * (lo_out + hi_out)
+        mid_val = self._objective(t, mid)
+        base = np.maximum(best_val, 0.0)
+        value = np.maximum(base, mid_val)
+        arg = np.where(mid_val >= base, mid, np.where(best_val > 0.0, grid[best], 0.0))
+        return value, arg
+
+    def _lookup(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Value and maximiser at each entry of t, from the memo or `_solve`."""
+        t = np.asarray(t, dtype=float)
+        uniq, inv = np.unique(t.reshape(-1), return_inverse=True)
+        keys = uniq.tolist()
+        pairs = np.array([self._memo.get(x, (np.nan, np.nan)) for x in keys]).reshape(-1, 2)
+        pairs[uniq == 0.0] = 0.0
+        miss = np.flatnonzero(np.isnan(pairs[:, 0]))
+        if miss.size:
+            pairs[miss, 0], pairs[miss, 1] = self._solve(uniq[miss])
+            if len(self._memo) + miss.size > self._MEMO_SIZE:
+                self._memo.clear()
+            self._memo.update(zip([keys[i] for i in miss], map(tuple, pairs[miss].tolist())))
+        inv = inv.reshape(-1)
+        return pairs[inv, 0].reshape(t.shape), pairs[inv, 1].reshape(t.shape)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        out = np.array([self._eval_scalar(float(x)) for x in flat])
-        return out.reshape(t.shape)
+        return self._lookup(t)[0]
 
-    def deriv(self, t, h: float = 1e-6):
-        t = np.asarray(t, dtype=float)
-        return (self(t + h) - self(np.maximum(t - h, 0.0))) / (2.0 * h)
+    def deriv(self, t):
+        return self._lookup(t)[1]
 
     def _cache_key(self):
         return type(self), self.phi._cache_key()
@@ -292,29 +316,40 @@ def by_name(name: str) -> YoungFunction:
     raise ValueError(f"unknown Young function {name!r}")
 
 
-def _phi_mean(phi: YoungFunction, scaled: np.ndarray) -> np.ndarray:
-    """Row-wise mean of Phi(scaled); +inf where any entry exceeds the
-    finiteness threshold."""
+def _phi_means(phi: YoungFunction, x: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Mean of Phi over each segment of the flat array x (segment i starts at
+    starts[i] and has lens[i] entries); +inf on a segment with an entry
+    beyond the finiteness threshold."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mean = phi(scaled).mean(axis=1)
+        mean = np.add.reduceat(phi(x), starts) / lens
     if np.isfinite(phi.finite_threshold):
-        mean = np.where((scaled > phi.finite_threshold).any(axis=1), np.inf, mean)
+        mean[np.logical_or.reduceat(x > phi.finite_threshold, starts)] = np.inf
     return mean
 
 
-# The norm of each row w of a batch whose largest entry is 1, for the Young
-# functions where mean Phi(w / lam) = 1 solves in closed form.  Keyed on the
-# exact type: a subclass may override Phi and goes to the iterative solver.
+def _phi_mean(phi: YoungFunction, x: np.ndarray) -> float:
+    """`_phi_means` over all of x as one segment."""
+    return float(_phi_means(phi, x, np.zeros(1, dtype=int), np.array([x.size]))[0])
+
+
+def _segment_means(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    return np.add.reduceat(x, lens.cumsum() - lens) / lens
+
+
+# The norm of each segment w (largest entry 1) for the Young functions where
+# mean Phi(w / lam) = 1 solves in closed form.  Keyed on the exact type: a
+# subclass may override Phi and goes to the iterative solver.
 _CLOSED_FORMS = {
-    Identity: lambda phi, w: w.mean(axis=1),
-    IdentityConjugate: lambda phi, w: np.ones(w.shape[0]),
-    Power: lambda phi, w: (w**phi.p).mean(axis=1) ** (1.0 / phi.p),
-    PowerConjugate: lambda phi, w: (phi.coeff * (w**phi.pprime).mean(axis=1)) ** (1.0 / phi.pprime),
+    Identity: lambda phi, w, lens: _segment_means(w, lens),
+    IdentityConjugate: lambda phi, w, lens: np.ones(len(lens)),
+    Power: lambda phi, w, lens: _segment_means(w**phi.p, lens) ** (1.0 / phi.p),
+    PowerConjugate: lambda phi, w, lens: (phi.coeff * _segment_means(w**phi.pprime, lens)) ** (1.0 / phi.pprime),
 }
 
 
-def _unit_roots(phi: YoungFunction, w: np.ndarray) -> np.ndarray:
-    """The s > 0 with G(s) = mean Phi(s w) = 1 on each row w (largest entry 1).
+def _unit_roots(phi: YoungFunction, w: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The s > 0 with G(s) = mean Phi(s w) = 1 on each segment w of the flat
+    array `w` (segment i has lens[i] entries, the largest of them 1).
 
     G is convex and nondecreasing.  A Newton step from a point with G > 1
     moves down to the root without passing it, and one from a point with
@@ -324,19 +359,21 @@ def _unit_roots(phi: YoungFunction, w: np.ndarray) -> np.ndarray:
     bracket instead when the Newton step is not finite, leaves the bracket,
     more than doubles s, or is over half the step before last (so a slow
     linear phase, as for e^t far right of the root, still halves the
-    bracket), and always when Phi has no `deriv`.  A row leaves the active
-    set once its step or its bracket is within the tolerance, so its answer
-    depends on its own values alone."""
-    out = np.empty(w.shape[0])
-    idx = np.arange(w.shape[0])
-    s = np.ones(w.shape[0])
+    bracket), and always when Phi has no `deriv`.  A segment leaves the
+    active set once its step or its bracket is within the tolerance.  Its
+    sums are `reduceat` over its own entries, so its answer depends on its
+    values alone, not on the segments solved beside it."""
+    out = np.empty(len(lens))
+    idx = np.arange(len(lens))
+    starts = lens.cumsum() - lens
+    s = np.ones(len(lens))
     lo, hi = np.zeros_like(s), np.full_like(s, np.inf)
     last, before_last = hi.copy(), hi.copy()
     newton = True
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_LUX_MAX_STEPS):
-            x = s[:, None] * w
-            g = _phi_mean(phi, x) - 1.0
+            x = np.repeat(s, lens) * w
+            g = _phi_means(phi, x, starts, lens) - 1.0
             over = g > 0.0
             lo, hi = np.where(over, lo, s), np.where(over, s, hi)
             new = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
@@ -346,7 +383,7 @@ def _unit_roots(phi: YoungFunction, w: np.ndarray) -> np.ndarray:
                 except NotImplementedError:
                     newton = False
                 else:
-                    slope = (w * dphi).mean(axis=1)
+                    slope = np.add.reduceat(w * dphi, starts) / lens
                     cand = s - g / slope
                     ok = ((slope > 0.0) & (slope < np.inf) & (cand > 0.0) & (cand >= lo)
                           & (cand <= np.minimum(hi, 2.0 * s)) & (np.abs(cand - s) <= 0.5 * before_last))
@@ -359,53 +396,84 @@ def _unit_roots(phi: YoungFunction, w: np.ndarray) -> np.ndarray:
                 keep = ~done
                 if not keep.any():
                     return out
-                idx, w, s, lo, hi = idx[keep], w[keep], s[keep], lo[keep], hi[keep]
+                w = w[np.repeat(keep, lens)]
+                idx, lens, s, lo, hi = idx[keep], lens[keep], s[keep], lo[keep], hi[keep]
                 last, before_last = last[keep], before_last[keep]
+                starts = lens.cumsum() - lens
     if np.isinf(hi).any() or not lo.all():
         raise LuxemburgConvergenceError("failed to bracket the root")
     raise LuxemburgConvergenceError(f"root not found in {_LUX_MAX_STEPS} steps")
 
 
-def _luxemburg_rows(phi: YoungFunction, vals: np.ndarray) -> np.ndarray:
-    """Luxemburg norm of each row of `vals`.  Each row is divided by its
-    largest |entry| m first, so no power overflows; the norm is m times the
-    closed form, or m / s with s from `_unit_roots`."""
-    vals = np.abs(vals)
-    mx = vals.max(axis=1)
-    out = np.zeros(vals.shape[0])
+def _luxemburg_rows(phi: YoungFunction, vals: np.ndarray, lens: np.ndarray | None = None) -> np.ndarray:
+    """Luxemburg norm of each row of `vals`: the rows of a 2-D array, or with
+    `lens`, the consecutive segments of a flat array with those lengths.
+    Each row is divided by its largest |entry| m first, so no power
+    overflows; the norm is m times the closed form, or m / s with s from
+    `_unit_roots`."""
+    if lens is None:
+        lens = np.full(vals.shape[0], vals.shape[1])
+    vals = np.abs(vals).reshape(-1)
+    mx = np.maximum.reduceat(vals, lens.cumsum() - lens)
+    out = np.zeros(len(lens))
     active = mx > 0.0
     if active.any():
         m = mx[active]
-        w = vals[active] / m[:, None]
+        w = vals[np.repeat(active, lens)]
+        lens = lens[active]
+        w /= np.repeat(m, lens)
+        # A one-entry row scales to [1]: solve the first one, copy it to the rest.
+        single = np.flatnonzero(lens == 1)
+        solve = np.ones(len(lens), dtype=bool)
+        solve[single[1:]] = False
+        w, unit = w[np.repeat(solve, lens)], np.empty(len(lens))
         closed = _CLOSED_FORMS.get(type(phi))
-        out[active] = m / _unit_roots(phi, w) if closed is None else m * closed(phi, w)
+        unit[solve] = _unit_roots(phi, w, lens[solve]) if closed is None else closed(phi, w, lens[solve])
+        unit[single] = unit[single[:1]]
+        out[active] = m / unit if closed is None else m * unit
     return out
 
 
 def luxemburg_norm(f: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     """The Phi-average over q: inf{lam > 0 : mean of Phi(|f|/lam) over q <= 1}."""
-    vals = f.restrict(q).reshape(1, -1)
-    return float(_luxemburg_rows(phi, vals)[0])
+    return float(_luxemburg_rows(phi, f.restrict(q).reshape(1, -1))[0])
+
+
+# Levels of a table join one solve while the group's flat arrays stay within
+# this many entries (every level holds all N leaf values).  Past that, the
+# arrays of one Newton step outgrow the CPU caches and a step costs more
+# than the per-call overhead it saves (ladder in CHANGES.md).
+_LUX_GROUP_ENTRIES = 2**14
 
 
 def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray]:
     """Luxemburg norms of f over every lattice cube, one flat array per
     level (C order of the cube index), each `==` to `luxemburg_norm` on
-    that cube.  Cached per (function, phi._cache_key()): GridFunction values
-    are immutable, so the table never goes stale."""
+    that cube.  The levels are solved together as segments of one flat
+    array, a few levels per solve on large lattices.  Cached per
+    (function, phi._cache_key()): GridFunction values are immutable, so the
+    table never goes stale."""
     cache = f.__dict__.setdefault("_lux_tables", {})
     key = phi._cache_key()
     if key not in cache:
         grid = np.abs(f.grid)
-        cache[key] = [_luxemburg_rows(phi, cube_blocks(grid, k)) for k in range(f.config.L + 1)]
+        blocks = [cube_blocks(grid, k) for k in range(f.config.L + 1)]
+        per_solve = max(1, _LUX_GROUP_ENTRIES // grid.size)
+        table = []
+        for group in (blocks[i : i + per_solve] for i in range(0, len(blocks), per_solve)):
+            rows = [b.shape[0] for b in group]
+            lens = np.concatenate([np.full(b.shape[0], b.shape[1]) for b in group])
+            norms = _luxemburg_rows(phi, np.concatenate([b.reshape(-1) for b in group]), lens)
+            table += np.split(norms, np.cumsum(rows)[:-1])
+        cache[key] = table
     return cache[key]
 
 
 def phi_average(f: GridFunction, q: CubeId, phi: YoungFunction, lam: float) -> float:
     """Mean of Phi(|f|/lam) over q, with deterministic +inf propagation."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.abs(f.restrict(q)).reshape(1, -1) / lam
-    return float(_phi_mean(phi, scaled)[0])
+        scaled = np.abs(f.restrict(q)).reshape(-1) / lam
+    return _phi_mean(phi, scaled)
 
 
 def young_equality_residual(phi: YoungFunction, t: float, phibar: YoungFunction | None = None) -> float:
@@ -455,34 +523,52 @@ def check_nabla2(phi: YoungFunction, t_min: float = 0.0) -> dict:
     return {"holds": False}
 
 
-def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction, points: int = 2000) -> float:
-    """Dense-scan approximation of inf_s s(1 + mean of Phi(|g|/s) over q).
+class _AmemiyaPsi(YoungFunction):
+    """Psi(t) = t Phi'(t) - Phi(t), nondecreasing since Psi' = t Phi''.  It
+    has no `deriv`, so `_unit_roots` bisects on it."""
 
-    Sandwiches the Luxemburg norm between itself and twice itself.
+    def __init__(self, phi: YoungFunction):
+        self.phi = phi
+        self.name = f"amemiya:{phi.name}"
+        self.finite_threshold = phi.finite_threshold
+
+    def __call__(self, t):
+        return t * self.phi.deriv(t) - self.phi(t)
+
+
+def _power_amemiya(coeff: float, r: float, w: np.ndarray) -> float:
+    """The minimum of s(1 + mean coeff (w/s)^r): s* = ((r-1) coeff mean w^r)^(1/r)
+    and the minimum is s* r/(r-1)."""
+    return r / (r - 1.0) * ((r - 1.0) * coeff * float(np.mean(w**r))) ** (1.0 / r)
+
+
+# The Amemiya norm of |g| / max|g| where Psi gives no root to solve for: the
+# identity's Psi is 0 (the infimum is the limit s -> 0, the mean) and its
+# conjugate's is 0 then +inf (the minimum is at s = max, the max); powers
+# and their conjugates solve in closed form.
+_AMEMIYA_CLOSED_FORMS = {
+    Identity: lambda phi, w: float(np.mean(w)),
+    IdentityConjugate: lambda phi, w: 1.0,
+    Power: lambda phi, w: _power_amemiya(1.0, phi.p, w),
+    PowerConjugate: lambda phi, w: _power_amemiya(phi.coeff, phi.pprime, w),
+}
+
+
+def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction) -> float:
+    """The Amemiya norm inf_s s(1 + mean of Phi(|g|/s) over q).
+
+    The objective is convex in s with derivative 1 - mean Psi(|g|/s), where
+    Psi(t) = t Phi'(t) - Phi(t) is nondecreasing, so the minimiser s* solves
+    mean Psi(|g|/s*) = 1 (Rao-Ren, Theory of Orlicz Spaces, 1991): it is the
+    Luxemburg norm of |g| for Psi, from the same solver.  The value lies
+    between the Luxemburg norm and twice it.
     """
-    vals = np.abs(g.restrict(q)).reshape(-1)
-    if not vals.any():
+    vals = np.abs(g.restrict(q)).reshape(1, -1)
+    m = float(vals.max())
+    if m == 0.0:
         return 0.0
-    center = float(_luxemburg_rows(phi, vals.reshape(1, -1))[0])
-    def objective(s: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            obj = s * (1.0 + _phi_mean(phi, vals[None, :] / s[:, None]))
-        return np.where(np.isnan(obj), np.inf, obj)
-
-    s_grid = center * np.exp2(np.linspace(-10.0, 10.0, points))
-    obj = objective(s_grid)
-    best = int(np.argmin(obj))
-    lo = s_grid[max(best - 1, 0)]
-    hi = s_grid[min(best + 1, points - 1)]
-    # the objective is convex in s (perspective of Phi plus a linear term)
-    for _ in range(100):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if float(objective(np.array([m1]))[0]) <= float(objective(np.array([m2]))[0]):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo <= 1e-10 * hi:
-            break
-    mid = 0.5 * (lo + hi)
-    return float(min(obj[best], objective(np.array([mid]))[0]))
+    closed = _AMEMIYA_CLOSED_FORMS.get(type(phi))
+    if closed is not None:
+        return m * closed(phi, vals / m)
+    s = float(_luxemburg_rows(_AmemiyaPsi(phi), vals)[0])
+    return s * (1.0 + _phi_mean(phi, vals.reshape(-1) / s))

@@ -191,6 +191,39 @@ def bisect_luxemburg_rows(phi: YoungFunction, vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def scan_amemiya(phi: YoungFunction, vals: np.ndarray, points: int = 2000) -> float:
+    """inf_s s(1 + mean Phi(|vals|/s)) by a dense scan of `points` scales
+    within 2^10 of the Luxemburg norm, then ternary search around the best
+    (the objective is convex in s: the perspective of Phi plus a linear
+    term)."""
+    vals = np.abs(vals).reshape(1, -1)
+    if not vals.any():
+        return 0.0
+    center = float(bisect_luxemburg_rows(phi, vals)[0])
+
+    def objective(s: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            obj = s * (1.0 + _bisect_phi_mean(phi, vals, s))
+        return np.where(np.isnan(obj), np.inf, obj)
+
+    s_grid = center * np.exp2(np.linspace(-10.0, 10.0, points))
+    obj = objective(s_grid)
+    best = int(np.argmin(obj))
+    lo = s_grid[max(best - 1, 0)]
+    hi = s_grid[min(best + 1, points - 1)]
+    for _ in range(100):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if float(objective(np.array([m1]))[0]) <= float(objective(np.array([m2]))[0]):
+            hi = m2
+        else:
+            lo = m1
+        if hi - lo <= 1e-10 * hi:
+            break
+    mid = 0.5 * (lo + hi)
+    return float(min(obj[best], objective(np.array([mid]))[0]))
+
+
 def brute_force_content(config: LatticeConfig, mask: np.ndarray) -> float:
     """Minimal covering cost by enumeration over all antichain covers.
 

@@ -93,6 +93,19 @@ def test_norm_missing_flag_is_usage_error(capsys, grid_file, args, missing):
     assert f"needs {missing}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("space, extra", [
+    ("morrey", []),
+    ("orlicz_morrey", ["--phi", "power:2"]),
+    ("tiling_orlicz_morrey", ["--phi", "power:2", "--tiling", "1:0 1:1"]),
+])
+def test_norm_nan_exponent_is_usage_error(capsys, grid_file, space, extra):
+    # NaN fails every comparison, so a check written as `p <= 1` let it through
+    code, out, err = run(capsys, "norm", "-i", grid_file, "--space", space, "--p", "nan", *extra)
+    assert code == 2
+    assert out == ""
+    assert "exponent must satisfy p" in err and "got nan" in err and "Traceback" not in err
+
+
 def test_block_norm_infinite_p_is_usage_error(capsys, tmp_path):
     # every tile norm is below 1, where p = inf once gave a silent 1.0
     h = tmp_path / "h.json"

@@ -14,6 +14,7 @@ from choquet.young import (
     Power,
     PowerConjugate,
     YoungFunction,
+    _LUX_GROUP_ENTRIES,
     amemiya_functional,
     by_name,
     check_delta2,
@@ -27,7 +28,7 @@ from choquet.young import (
     young_equality_residual,
 )
 
-from conftest import bisect_luxemburg_rows
+from conftest import bisect_luxemburg_rows, scan_amemiya
 
 ROOT1 = CubeId(0, (0,))
 
@@ -125,6 +126,22 @@ def test_numeric_conjugate_matches_closed_form():
     exact = PowerConjugate(2)
     for t in [0.1, 0.7, 1.0, 3.0, 10.0]:
         assert num(t) == pytest.approx(exact(t), rel=1e-6, abs=1e-9)
+    # the derivative is the maximiser (Phi')^-1(t): t/2 here, log t or 0 for e^t - 1
+    ts = np.array([0.0, 0.1, 0.7, 1.0, 3.0, 10.0])
+    np.testing.assert_allclose(num.deriv(ts), exact.deriv(ts), rtol=1e-7, atol=0.0)
+    np.testing.assert_allclose(numeric_conjugate(ExpM1()).deriv(ts), ExpM1Conjugate().deriv(ts),
+                               rtol=1e-7, atol=1e-12)
+
+
+def test_numeric_conjugate_argument_does_not_depend_on_batch(rng):
+    # all arguments refine together, each stopping on its own
+    ts = np.concatenate([rng.random(40) * 3.0, np.exp(rng.normal(0.0, 4.0, 40)), [0.0, 1.0]])
+    for phi in [LlogL(), ExpM1(), Power(1.3)]:
+        batch = numeric_conjugate(phi)
+        value, slope = batch(ts), batch.deriv(ts)
+        for t, v, d in zip(ts, value, slope):
+            alone = numeric_conjugate(phi)
+            assert (alone(t), alone.deriv(t)) == (v, d)
 
 
 def test_numeric_biconjugate_recovers_power():
@@ -235,6 +252,24 @@ def test_delta2_nabla2():
     assert not check_nabla2(Identity())["holds"]
 
 
+@oracle_settings
+@given(lattice_functions(), builtin_phis(), st.integers(0, 2**32 - 1))
+def test_amemiya_matches_scan_oracle(f, phi, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, f.config.L + 1))
+    q = CubeId(k, tuple(int(x) for x in rng.integers(0, 2**k, f.config.n)))
+    vals = np.abs(f.restrict(q))
+    got = amemiya_functional(f, q, phi)
+    # Psi = t Phi' - Phi is 0 for the identity (the infimum is the limit s -> 0)
+    # and kinked for its conjugate (the minimum sits at s = max |f|)
+    if isinstance(phi, Identity):
+        assert got == pytest.approx(vals.mean(), rel=1e-15, abs=0.0)
+    elif isinstance(phi, IdentityConjugate):
+        assert got == vals.max()
+    else:
+        assert got == pytest.approx(scan_amemiya(phi, vals), rel=1e-12, abs=0.0)
+
+
 def test_amemiya_sandwich(rng):
     # the Amemiya value is within [lux, 2 lux]
     cfg = LatticeConfig(1, 3, 0.5)
@@ -252,8 +287,8 @@ def test_luxemburg_matches_bisection_oracle(f, phi):
     _assert_matches_oracle(f, phi)
 
 
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
-@given(lattice_functions(max_cells=4))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(lattice_functions(max_cells=64))
 def test_luxemburg_numeric_conjugate_matches_bisection_oracle(f):
     _assert_matches_oracle(f, NUMERIC_LLOGL)
     _assert_table_is_single_cube(f, NUMERIC_LLOGL)
@@ -263,6 +298,31 @@ def test_luxemburg_numeric_conjugate_matches_bisection_oracle(f):
 @given(lattice_functions(), builtin_phis())
 def test_luxemburg_table_equals_single_cube(f, phi):
     _assert_table_is_single_cube(f, phi)
+
+
+@oracle_settings
+@given(lattice_functions(), builtin_phis())
+def test_luxemburg_table_equals_level_rows(f, phi):
+    # all levels in one segmented solve against each level solved on its own
+    grid = np.abs(f.grid)
+    for k, norms in enumerate(luxemburg_norm_table(f, phi)):
+        assert list(norms) == list(_luxemburg_rows(phi, cube_blocks(grid, k)))
+
+
+@pytest.mark.parametrize("phi", [ExpM1(), LlogL(), ExpM1Conjugate(), Power(3.0)], ids=lambda p: p.name)
+def test_luxemburg_table_split_into_groups(phi):
+    # a lattice whose levels do not fit one solve: the table is still level
+    # by level and cube by cube the same
+    cfg = LatticeConfig(2, 6, 1.0)
+    assert cfg.num_cells < _LUX_GROUP_ENTRIES < (cfg.L + 1) * cfg.num_cells
+    rng = np.random.default_rng(11)
+    f = GridFunction(cfg, np.exp(rng.normal(0.0, 2.0, cfg.num_cells)) * (rng.random(cfg.num_cells) < 0.8))
+    table = luxemburg_norm_table(f, phi)
+    for k, norms in enumerate(table):
+        assert list(norms) == list(_luxemburg_rows(phi, cube_blocks(np.abs(f.grid), k)))
+    for q in list(all_cubes(f.config))[::53]:
+        flat = int(np.ravel_multi_index(q.index, (2**q.level,) * cfg.n))
+        assert luxemburg_norm(f, q, phi) == table[q.level][flat], q
 
 
 @oracle_settings
