@@ -185,8 +185,8 @@ def choquet_integral(f: GridFunction) -> float:
 
 def choquet_norm(f: GridFunction, p: float) -> float:
     """The L^p(H^d) functional; p = inf gives the essential sup (max leaf)."""
-    if p <= 0:
-        raise ValueError(f"exponent p must be positive, got {p}")
+    if not p > 0:  # false for NaN as well
+        raise ValueError(f"exponent must satisfy p > 0, got {p}")
     if np.isinf(p):
         return float(np.abs(f.values).max())
     absf = GridFunction(f.config, np.abs(f.values) ** p)

@@ -12,17 +12,15 @@ is None, status is pass as long as every trial is finite).  Composite
 suites normalize each sub-check by its own tolerance, so their bound is 1.
 The few suites whose report is not the worst ratio declare a `summary`.
 
-Trials are generated from per-trial child seeds, so results are identical
-regardless of execution order or worker count.
+Trials are generated from per-trial child seeds, so each trial is
+independent of the others and of the order they run in.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -99,22 +97,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json(self) -> str:
-        obj = {
-            "suite": self.suite,
-            "trials": self.trials,
-            "L": self.L,
-            "seed": self.seed,
-            "n": self.n,
-            "d": self.d,
-            "bound": self.bound,
-            "worst_ratio": self.worst_ratio,
-            "empirical_constant": self.empirical_constant,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "details": self.details,
-        }
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +179,6 @@ def random_instance(kind: str, config: LatticeConfig, seed, eta: float = 0.5):
 @dataclass(frozen=True)
 class SuiteContext:
     config: LatticeConfig
-    trials: int
     seed: int
 
     def rng_for(self, trial: int, salt: int = 0) -> np.random.Generator:
@@ -204,33 +186,6 @@ class SuiteContext:
 
     def instance(self, kind: str, trial: int, salt: int = 0, **kw):
         return random_instance(kind, self.config, [self.seed, trial, salt], **kw)
-
-
-def _thread_count() -> int:
-    """CHOQUET_THREADS as a positive int; unset or empty means 1."""
-    raw = os.environ.get("CHOQUET_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"CHOQUET_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def _run_trials(ctx: SuiteContext, trial_fn):
-    """Run trial_fn(ctx, i) -> (ratio, payload) over all trials, returning
-    the per-trial results in trial order.  Parallelism (capped by the
-    CHOQUET_THREADS env var) cannot change the outcome: each trial is
-    seeded independently and results are reassembled in order."""
-    workers = _thread_count()
-    indices = range(ctx.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda i: trial_fn(ctx, i), indices))
-    return [trial_fn(ctx, i) for i in indices]
 
 
 def _max_ratio(results):
@@ -607,9 +562,11 @@ def run_suite(name: str, trials: int, L: int, seed: int, n: int = 1, d: float = 
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     suite = SUITES[name]
-    ctx = SuiteContext(LatticeConfig(n, L, d), trials, seed)
-    results = [suite.trial(ctx, 0)] if suite.once else _run_trials(ctx, suite.trial)
+    ctx = SuiteContext(LatticeConfig(n, L, d), seed)
+    results = [suite.trial(ctx, i) for i in range(1 if suite.once else trials)]
     worst, empirical, payload, details = suite.summary(results)
     worst = float(worst)
     if suite.bound is None:

@@ -10,6 +10,7 @@ pairings over generated admissible witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -20,16 +21,14 @@ from .lattice import (
     LatticeConfig,
     Tiling,
     children,
-    cube_slices,
     indicator,
     level_masks,
-    measure_of_cube,
     paint,
     pyramid,
     validate_masks,
 )
 from .maximal import fractional_measure_maximal, orlicz_fractional_maximal
-from .young import YoungFunction, luxemburg_norm, luxemburg_norm_table
+from .young import YoungFunction, luxemburg_norm_table
 
 __all__ = [
     "SpaceSpec",
@@ -123,6 +122,8 @@ class InadmissibleMeasureError(ValueError):
 
 
 def _check_admissible(mu: GridFunction, tol: float = 1e-12) -> None:
+    """InadmissibleMeasureError at the smallest cube with mu(Q) > side^d;
+    ValueError for a negative density."""
     config = mu.config
     levels = pyramid(mu.grid * config.cell_volume)
     for k in range(config.L, -1, -1):  # finest first: report the smallest offending cube
@@ -131,6 +132,8 @@ def _check_admissible(mu: GridFunction, tol: float = 1e-12) -> None:
         if bad.size:
             idx = tuple(int(x) for x in bad[0])
             raise InadmissibleMeasureError(CubeId(k, idx), float(levels[k][idx]), budget)
+    if not mu.is_nonnegative():
+        raise ValueError("density has negative cell values")
 
 
 @dataclass(frozen=True)
@@ -155,28 +158,34 @@ def dual_witness(
         f_Q = Phi'(|f|/a) 1_Q
         F_Q = [1 + mean_Q Phibar(Phi'(|f|/a))]^(-1) a^(p-1) (mu(Q)/|Q|) f_Q
     The attached certificate side(Q)^(n-d) ||F_Q||_{Phibar;Q} is bounded by
-    a^(p-1) whenever mu is admissible.
+    a^(p-1) whenever mu is admissible.  All tiles are handled at once on the
+    tiling's level masks: the tile norms come from the cached Luxemburg
+    table of f, the certificates from the table of F, and both are listed
+    in the tiling's (level, index) order.
     """
     if not p > 1:
         raise ValueError(f"exponent must satisfy p > 1, got {p}")
     config = f.config
-    _require_tiling(config, t)
+    masks = _require_tiling(config, t)
     _check_admissible(mu)
     phibar = phi.complementary()
     alpha = config.n - config.d
 
-    out = np.zeros(config.grid_shape)
-    norms = [(q, luxemburg_norm(f, q, phi)) for q in t]
-    for q, a in norms:
-        if a > 0.0:
-            sl = cube_slices(config, q)
-            fq = phi.deriv(np.abs(f.grid[sl]) / a)
-            b = float(phibar(fq).mean())
-            out[sl] = a ** (p - 1.0) * (measure_of_cube(mu, q) / q.volume) / (1.0 + b) * fq
-    F = GridFunction(config, out)
+    norms = [a.reshape(m.shape) for a, m in zip(luxemburg_norm_table(f, phi), masks)]
+    a = paint(masks, norms)
+    fq = np.zeros(config.grid_shape)  # 0 on the tiles where a = 0
+    pos = a > 0.0
+    fq[pos] = phi.deriv(np.abs(f.grid[pos]) / a[pos])
+    # per level: a^(p-1) * mu(Q)/|Q| / (1 + mean_Q Phibar(f_Q)), the means as sums / cell counts
+    cells = [2.0 ** (config.n * (config.L - k)) for k in range(config.L + 1)]
+    scale = [ak ** (p - 1.0) * (mk / c) / (1.0 + bk / c)
+             for ak, mk, bk, c in zip(norms, pyramid(mu.grid), pyramid(phibar(fq)), cells)]
+    F = GridFunction(config, paint(masks, scale) * fq)
     # the tiles are disjoint, so F restricted to a tile is that tile's F_Q
-    return DualWitness(F, tuple((q, q.side**alpha * luxemburg_norm(F, q, phibar) if a > 0.0 else 0.0, a)
-                                for q, a in norms))
+    certs = [c.reshape(m.shape) for c, m in zip(luxemburg_norm_table(F, phibar), masks)]
+    tiles = [(q, float(norms[q.level][q.index])) for q in t]
+    return DualWitness(F, tuple((q, q.side**alpha * float(certs[q.level][q.index]) if a > 0.0 else 0.0, a)
+                                for q, a in tiles))
 
 
 @dataclass(frozen=True)
@@ -244,28 +253,17 @@ def associate_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed
     return best
 
 
-def enumerate_tilings(config: LatticeConfig, max_level: int | None = None):
-    """All tilings of the root by cubes of level <= max_level (exhaustive;
-    intended for small lattices)."""
-    top = config.L if max_level is None else max_level
+def enumerate_tilings(config: LatticeConfig):
+    """All tilings of the root cube (exhaustive; intended for small
+    lattices): a cube alone first, then every combination of its
+    children's tilings, the last child's varying fastest."""
 
     def rec(q: CubeId):
         yield (q,)
-        if q.level < top:
+        if q.level < config.L:
             kids = sorted(children(config, q), key=lambda c: c.index)
-            parts = [list(rec(c)) for c in kids]
-            idx = [0] * len(parts)
-            while True:
-                yield tuple(x for i, ps in enumerate(parts) for x in ps[idx[i]])
-                j = len(parts) - 1
-                while j >= 0:
-                    idx[j] += 1
-                    if idx[j] < len(parts[j]):
-                        break
-                    idx[j] = 0
-                    j -= 1
-                if j < 0:
-                    return
+            for combo in product(*[list(rec(c)) for c in kids]):
+                yield sum(combo, ())
 
     for combo in rec(CubeId(0, (0,) * config.n)):
         yield Tiling(combo)

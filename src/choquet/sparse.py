@@ -210,8 +210,8 @@ def cantor_lux_bound(c: CantorConfig, L: int | None = None) -> dict:
 def unboundedness_demo(c: CantorConfig, p: float, L: int | None = None) -> list[tuple[int, float]]:
     """Choquet norms of the sparse images at depths 0..K; the p=1 value is
     exactly depth+1 while the input's norm stays 1."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not p >= 1:  # false for NaN as well
+        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     if L is None:
         L = c.m * c.K
     rows = []

@@ -14,9 +14,18 @@ import pytest
 from hypothesis import strategies as st
 
 from choquet.content import _cost_tables
-from choquet.lattice import CubeId, LatticeConfig, all_cubes, children, cube_slices
+from choquet.lattice import (
+    CubeId,
+    GridFunction,
+    LatticeConfig,
+    Tiling,
+    all_cubes,
+    children,
+    cube_slices,
+    measure_of_cube,
+)
 from choquet.sparse import SparseFamily, SparseReport
-from choquet.young import LuxemburgConvergenceError, YoungFunction
+from choquet.young import LuxemburgConvergenceError, YoungFunction, luxemburg_norm
 
 
 def _coarsen_sum_batch(a: np.ndarray) -> np.ndarray:
@@ -79,6 +88,26 @@ def slice_paint(config: LatticeConfig, cubes, value) -> np.ndarray:
     for q in cubes:
         out[cube_slices(config, q)] += value(q)
     return out
+
+
+def per_tile_dual_witness(f: GridFunction, mu: GridFunction, p: float, phi: YoungFunction, t: Tiling):
+    """`dual_witness` one tile at a time, in the tiling's order: each tile's
+    norm and certificate by its own single-cube `luxemburg_norm`, its mean
+    of Phibar and its mass through its leaf slices.  Returns (F, certificates)."""
+    config = f.config
+    phibar = phi.complementary()
+    alpha = config.n - config.d
+    out = np.zeros(config.grid_shape)
+    norms = [(q, luxemburg_norm(f, q, phi)) for q in t]
+    for q, a in norms:
+        if a > 0.0:
+            sl = cube_slices(config, q)
+            fq = phi.deriv(np.abs(f.grid[sl]) / a)
+            b = float(phibar(fq).mean())
+            out[sl] = a ** (p - 1.0) * (measure_of_cube(mu, q) / q.volume) / (1.0 + b) * fq
+    F = GridFunction(config, out)
+    certs = [(q, q.side**alpha * luxemburg_norm(F, q, phibar) if a > 0.0 else 0.0, a) for q, a in norms]
+    return F, certs
 
 
 _MAX_L = {1: 5, 2: 3, 3: 2}  # n*L <= 6 keeps the slice oracles fast

@@ -97,10 +97,17 @@ def test_norm_missing_flag_is_usage_error(capsys, grid_file, args, missing):
     ("morrey", []),
     ("orlicz_morrey", ["--phi", "power:2"]),
     ("tiling_orlicz_morrey", ["--phi", "power:2", "--tiling", "1:0 1:1"]),
+    # a whole command in place of `norm --space`; "{grid}" stands for the input file
+    pytest.param(None, ["choquet", "-i", "{grid}"], id="choquet"),
+    pytest.param(None, ["--n", "1", "cantor", "growth", "--m", "2", "--depth", "2"], id="cantor_growth"),
 ])
 def test_norm_nan_exponent_is_usage_error(capsys, grid_file, space, extra):
     # NaN fails every comparison, so a check written as `p <= 1` let it through
-    code, out, err = run(capsys, "norm", "-i", grid_file, "--space", space, "--p", "nan", *extra)
+    if space is None:
+        args = [grid_file if a == "{grid}" else a for a in extra]
+    else:
+        args = ["norm", "-i", grid_file, "--space", space, *extra]
+    code, out, err = run(capsys, *args, "--p", "nan")
     assert code == 2
     assert out == ""
     assert "exponent must satisfy p" in err and "got nan" in err and "Traceback" not in err
@@ -194,23 +201,13 @@ def test_verify_rejects_non_positive_trials(capsys, suite, trials):
     assert "trials" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])
-def test_bad_thread_count_is_usage_error(capsys, monkeypatch, threads):
-    monkeypatch.setenv("CHOQUET_THREADS", threads)
+def test_verify_rejects_negative_seed(capsys):
+    # numpy's own message ("expected non-negative integer") names no option
     code, out, err = run(capsys, "--n", "1", "--L", "3", "--d", "0.5",
-                         "verify", "adams", "--trials", "2")
+                         "verify", "cor32", "--trials", "1", "--seed", "-5")
     assert code == 2
     assert out == ""
-    assert "CHOQUET_THREADS" in err
-
-
-def test_empty_thread_count_means_one(capsys, monkeypatch):
-    args = ("--n", "1", "--L", "3", "--d", "0.5", "verify", "adams", "--trials", "2")
-    monkeypatch.setenv("CHOQUET_THREADS", "")
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    monkeypatch.delenv("CHOQUET_THREADS")
-    assert run(capsys, *args) == (0, out, "")
+    assert "seed" in err and "Traceback" not in err
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +39,6 @@ def test_reports_are_deterministic(name):
     a = run_suite(name, **SMALL).to_json()
     b = run_suite(name, **SMALL).to_json()
     assert a == b
-
-
-def test_determinism_across_thread_counts():
-    base = run_suite("adams", trials=16, L=4, seed=3, n=1, d=0.5).to_json()
-    old = os.environ.get("CHOQUET_THREADS")
-    try:
-        os.environ["CHOQUET_THREADS"] = "4"
-        threaded = run_suite("adams", trials=16, L=4, seed=3, n=1, d=0.5).to_json()
-    finally:
-        if old is None:
-            os.environ.pop("CHOQUET_THREADS", None)
-        else:
-            os.environ["CHOQUET_THREADS"] = old
-    assert base == threaded
 
 
 def test_seed_changes_output():

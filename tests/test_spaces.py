@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import configs, slice_paint, tilings
+from conftest import configs, per_tile_dual_witness, slice_paint, tilings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,6 +176,14 @@ def test_dual_witness_rejects_inadmissible():
     assert err.value.cube is not None
 
 
+def test_dual_witness_rejects_negative_density():
+    cfg = LatticeConfig(1, 2, 0.5)
+    f = GridFunction.constant(cfg, 1.0)
+    mu = GridFunction(cfg, [0.5, -0.25, 0.0, 0.0])
+    with pytest.raises(ValueError, match="negative"):
+        dual_witness(f, mu, 2.0, Power(2), Tiling([ROOT1]))
+
+
 def _finest_offender(mu: GridFunction, tol: float = 1e-12):
     """The first cube, finest level first and C order within a level, whose
     mass exceeds side^d."""
@@ -203,6 +211,34 @@ def test_inadmissible_measure_reports_finest_offender(config, seed):
         with pytest.raises(InadmissibleMeasureError) as err:
             dual_witness(f, mu, 2.0, Power(2), root)
         assert err.value.cube == want
+
+
+@oracle_settings
+@given(data=st.data())
+def test_dual_witness_matches_per_tile_oracle(data):
+    # tile norms are table entries (== single cubes); F and the certificates
+    # sum each tile's Phibar and mass in another order, hence the 1e-14
+    config = data.draw(configs())
+    t = Tiling(data.draw(tilings(config)))
+    phi = data.draw(st.sampled_from([Identity(), Power(1.5), Power(3.0), LlogL(), ExpM1()]))
+    p = data.draw(st.floats(1.0, 4.0, exclude_min=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    zero = [q for q in t if rng.random() < 0.3]
+    keep = 1.0 - slice_paint(config, zero, lambda q: 1.0)
+    f = GridFunction(config, rng.random(config.grid_shape) * keep)
+    mask = rng.random(config.num_cells) < rng.random()
+    mask[rng.integers(config.num_cells)] = True  # a Frostman measure needs a non-empty set
+    mu = frostman_measure(GridFunction(config, mask.astype(float)))
+
+    w = dual_witness(f, mu, p, phi, t)
+    F, certs = per_tile_dual_witness(f, mu, p, phi, t)
+    assert [(q, a) for q, _, a in w.certificates] == [(q, a) for q, _, a in certs]
+    np.testing.assert_allclose(w.F.values, F.values, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose([c for _, c, _ in w.certificates], [c for _, c, _ in certs], rtol=1e-14, atol=0.0)
+    for q, cert, a in w.certificates:
+        if a == 0.0:
+            assert cert == 0.0
+            assert not w.F.restrict(q).any()
 
 
 def test_dual_witness_rejects_p_le_1():
@@ -259,6 +295,18 @@ def test_enumerate_tilings_counts():
     assert sum(1 for _ in enumerate_tilings(LatticeConfig(1, 3, 0.5))) == 26
     cfg = LatticeConfig(2, 1, 1.0)
     assert sum(1 for _ in enumerate_tilings(cfg)) == 2
+
+
+def test_enumerate_tilings_order():
+    # a cube alone first, then its children's tilings with the last child varying fastest
+    cubes = lambda *names: Tiling(CubeId.parse(c) for c in names)
+    assert list(enumerate_tilings(LatticeConfig(1, 2, 0.5))) == [
+        cubes("0:0"),
+        cubes("1:0", "1:1"),
+        cubes("1:0", "2:2", "2:3"),
+        cubes("2:0", "2:1", "1:1"),
+        cubes("2:0", "2:1", "2:2", "2:3"),
+    ]
 
 
 def test_enumerate_tilings_all_valid():
