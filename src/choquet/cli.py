@@ -7,7 +7,9 @@ suite pass, 1 suite fail, 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import os
 import sys
 
 from .content import choquet_norm, frostman_measure, hausdorff_content
@@ -50,9 +52,15 @@ def _load_grid(path: str, args) -> GridFunction:
                 raise ValueError("CSV input needs explicit --n, --L and --d")
             return GridFunction.from_csv(path, LatticeConfig(args.n, args.L, args.d))
         with open(path) as fh:
-            return GridFunction.from_json(fh.read())
+            f = GridFunction.from_json(fh.read())
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         raise SystemExit(_io_error(f"cannot read grid function from {path}: {exc}"))
+    # A JSON file carries its own lattice; a flag may only repeat it.
+    for flag in ("n", "L", "d"):
+        given, stored = getattr(args, flag), getattr(f.config, flag)
+        if given is not None and given != stored:
+            raise ValueError(f"--{flag} {given} does not match {flag}={stored} in {path}")
+    return f
 
 
 def _io_error(msg: str) -> int:
@@ -65,9 +73,13 @@ def _parse_cubes(text: str) -> list[CubeId]:
 
 
 def _emit(args, obj) -> None:
+    """JSON, or with --format csv one "key,value" row per field and one
+    "key,item" row per element of a list-valued field."""
     if getattr(args, "format", "json") == "csv" and isinstance(obj, dict):
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         for key in sorted(obj):
-            print(f"{key},{obj[key]}")
+            items = obj[key] if isinstance(obj[key], list) else [obj[key]]
+            writer.writerows([key, item] for item in items)
     else:
         print(json.dumps(obj, sort_keys=True))
 
@@ -159,11 +171,18 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
 
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so the flush at exit
+        # does not raise again, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except (ValueError, UnknownSuiteError) as exc:
         return _io_error(str(exc))
+    return code
 
 
 def _dispatch(args) -> int:

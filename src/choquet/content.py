@@ -6,7 +6,9 @@ recurrence: a cube either pays its own side^d or delegates to its children,
 whichever is cheaper.  Ties resolve toward the single cube so optimal
 covers stay canonical.  The optimal cover is read off the DP tables top
 down, one boolean mask per level: a cube is in it when the DP takes it and
-no ancestor was taken.
+no ancestor was taken.  It is held as per-level index arrays, which
+`ContentResult.to_json_dict` formats directly; `optimal_cover` builds the
+`CubeId` objects on demand.
 
 The Choquet integral needs the content of every level set {f >= t}.  It
 runs the same recurrence once for all of them by a sorted merge over the
@@ -24,6 +26,7 @@ costs, which keeps mu(Q) <= side(Q)^d on every lattice cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,14 +44,25 @@ __all__ = [
 _TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContentResult:
+    """The content and an optimal cover.  cover[k] is a read-only (m_k, n)
+    array of the level-k cover cubes' indices, rows in C order, so the
+    levels in turn list the cover in (level, index) order."""
+
     value: float
-    optimal_cover: frozenset[CubeId]
+    cover: tuple[np.ndarray, ...]
+
+    @cached_property
+    def optimal_cover(self) -> frozenset[CubeId]:
+        return frozenset(CubeId(k, tuple(idx)) for k, rows in enumerate(self.cover) for idx in rows.tolist())
 
     def to_json_dict(self) -> dict:
-        cover = sorted(self.optimal_cover, key=lambda q: (q.level, q.index))
-        return {"value": self.value, "cover": [str(q) for q in cover]}
+        cubes = []
+        for k, rows in enumerate(self.cover):
+            template = f"{k}:" + ",".join(["%d"] * rows.shape[1])
+            cubes.extend(template % tuple(idx) for idx in rows.tolist())
+        return {"value": self.value, "cover": cubes}
 
 
 def _cost_tables(config: LatticeConfig, occ_grid: np.ndarray):
@@ -90,15 +104,17 @@ def hausdorff_content(E: GridFunction) -> ContentResult:
     costs, take = _cost_tables(config, _as_occupancy(E))
 
     # The cover is every taken cube with no taken ancestor.
-    cover: list[CubeId] = []
+    cover = []
     blocked = np.zeros((1,) * config.n, dtype=bool)
     for k in range(config.L + 1):
         if k:
             blocked = refine(blocked, 2)
         sel = take[k] & ~blocked
-        cover.extend(CubeId(k, tuple(idx)) for idx in np.argwhere(sel).tolist())
+        rows = np.argwhere(sel)
+        rows.flags.writeable = False
+        cover.append(rows)
         blocked |= sel
-    return ContentResult(float(costs[0].reshape(-1)[0]), frozenset(cover))
+    return ContentResult(float(costs[0].reshape(-1)[0]), tuple(cover))
 
 
 def frostman_measure(E: GridFunction) -> GridFunction:

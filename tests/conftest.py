@@ -81,6 +81,12 @@ def stack_walk_cover(config: LatticeConfig, occ: np.ndarray) -> frozenset:
     return frozenset(cover)
 
 
+def sorted_cover_strings(optimal_cover) -> list[str]:
+    """A cover's cube addresses in (level, index) order, formatted one
+    `CubeId` at a time."""
+    return [str(q) for q in sorted(optimal_cover, key=lambda q: (q.level, q.index))]
+
+
 def slice_paint(config: LatticeConfig, cubes, value) -> np.ndarray:
     """Leaf grid of the sum of value(q) * 1_q over the cubes, painted one
     cube at a time through its leaf slices, in the order given."""

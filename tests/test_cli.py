@@ -1,4 +1,10 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +251,66 @@ def test_csv_format_roundtrip(capsys, tmp_path):
     assert code == 0
     rows = dict(line.split(",", 1) for line in out.strip().splitlines())
     assert float(rows["value"]) == 1.0
+
+
+@pytest.fixture
+def set_file_2d(tmp_path):
+    # n=2, L=8, d=1.9: a random set whose cover has thousands of cubes
+    cfg = LatticeConfig(2, 8, 1.9)
+    mask = np.random.default_rng(3).random(cfg.num_cells) < 0.3
+    path = tmp_path / "set.json"
+    path.write_text(GridFunction(cfg, mask.astype(float)).to_json())
+    return path
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "1"], "--n 1 does not match n=2"),
+    (["--L", "16"], "--L 16 does not match L=8"),
+    (["--d", "1.5"], "--d 1.5 does not match d=1.9"),
+], ids=["n", "L", "d"])
+def test_lattice_flag_contradicting_json_is_usage_error(capsys, set_file_2d, flags, message):
+    code, out, err = run(capsys, *flags, "content", "-i", set_file_2d)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_lattice_flags_matching_json_are_accepted(capsys, set_file_2d):
+    _, plain, _ = run(capsys, "content", "-i", set_file_2d)
+    code, out, _ = run(capsys, "--n", "2", "--L", "8", "--d", "1.9", "content", "-i", set_file_2d)
+    assert code == 0
+    assert out == plain
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["content", "-i", "{set}"], id="content"),
+    pytest.param(["--n", "2", "cantor", "family", "--m", "2", "--depth", "2"], id="cantor_family"),
+])
+def test_csv_rows_match_json(capsys, set_file_2d, args):
+    args = [set_file_2d if a == "{set}" else a for a in args]
+    _, out, _ = run(capsys, *args)
+    doc = json.loads(out)
+    code, out, _ = run(capsys, "--format", "csv", *args)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows)
+    parsed = {}
+    for key, item in rows:
+        parsed.setdefault(key, []).append(item)
+    assert sorted(parsed) == sorted(doc)
+    for key, value in doc.items():
+        assert parsed[key] == (value if isinstance(value, list) else [str(value)])
+
+
+def test_closed_stdout_exits_without_traceback(set_file_2d):
+    # the cover is about 230 KB, more than a pipe buffer holds
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-m", "choquet.cli", "content", "-i", str(set_file_2d)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(60)) == 60
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err

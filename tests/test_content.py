@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choquet.content import (
@@ -26,6 +26,7 @@ from conftest import (
     lp_frostman_value,
     mask_choquet_integral,
     random_leaf_mask,
+    sorted_cover_strings,
     stack_walk_cover,
 )
 
@@ -150,6 +151,19 @@ def test_content_values_batch_matches_scalar(rng):
 @given(lattice_functions(kinds=("indicator",)))
 def test_cover_matches_stack_walk_oracle(E):
     assert hausdorff_content(E).optimal_cover == stack_walk_cover(E.config, E.grid > 0.5)
+
+
+@oracle_settings
+@given(lattice_functions(kinds=("indicator",)))
+@example(GridFunction.zeros(LatticeConfig(2, 3, 1.0)))
+@example(GridFunction.constant(LatticeConfig(3, 2, 2.5), 1.0))
+def test_cover_arrays_match_cube_objects(E):
+    r = hausdorff_content(E)
+    assert r.to_json_dict()["cover"] == sorted_cover_strings(r.optimal_cover)
+    assert len(r.optimal_cover) == sum(len(rows) for rows in r.cover)
+    assert len(r.cover) == E.config.L + 1
+    for rows in r.cover:
+        assert rows.shape[1] == E.config.n and not rows.flags.writeable
 
 
 def test_cover_tie_takes_parent():
