@@ -14,13 +14,7 @@ import sys
 
 from .content import choquet_norm, frostman_measure, hausdorff_content
 from .harness import SUITES, UnknownSuiteError, run_suite
-from .lattice import (
-    CubeId,
-    GridFunction,
-    LatticeConfig,
-    Tiling,
-    validate_tiling,
-)
+from .lattice import CubeId, GridFunction, LatticeConfig, Tiling
 from .maximal import fractional_measure_maximal, hl_maximal, orlicz_fractional_maximal
 from .sparse import (
     CantorConfig,
@@ -144,11 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, fallback: GridFunction | None = None) -> LatticeConfig:
+def _config(args) -> LatticeConfig:
     if args.n is not None and args.L is not None and args.d is not None:
         return LatticeConfig(args.n, args.L, args.d)
-    if fallback is not None:
-        return fallback.config
     raise SystemExit(_io_error("this command needs --n, --L and --d"))
 
 
@@ -228,10 +220,6 @@ def _dispatch(args) -> int:
     if cmd == "norm":
         f = _load_grid(args.input, args)
         tiling = Tiling(_parse_cubes(args.tiling)) if args.tiling else None
-        if tiling is not None:
-            report = validate_tiling(f.config, tiling)
-            if not report.ok:
-                return _io_error(f"invalid tiling: {report.kind} cell {report.cell}")
         spec = SpaceSpec(
             args.space,
             p=args.p,
@@ -281,9 +269,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "verify":
-        if args.n is None or args.L is None or args.d is None:
-            return _io_error("verify needs --n, --L and --d")
-        report = run_suite(args.suite, args.trials, args.L, args.seed, n=args.n, d=args.d)
+        config = _config(args)
+        report = run_suite(args.suite, args.trials, config.L, args.seed, n=config.n, d=config.d)
         print(report.to_json())
         return 0 if report.passed else 1
 

@@ -344,12 +344,11 @@ def _verification_ineq(ctx: SuiteContext, i: int):
     # bottom-up: a level-k tile adds its own term, a coarser cube its children's
     worst = 0.0
     for k in range(config.L, -1, -1):
-        norms = table[k].reshape(masks[k].shape)
-        tiles = np.where(masks[k], norms * 2.0 ** (config.n * (config.L - k)), 0.0)
+        tiles = np.where(masks[k], table[k] * 2.0 ** (config.n * (config.L - k)), 0.0)
         inside = tiles if k == config.L else tiles + coarsen(inside)
         side = 2.0**-k
         lhs = inside * config.cell_volume * side**-config.d
-        rhs = side ** (config.n - config.d) * norms
+        rhs = side ** (config.n - config.d) * table[k]
         worst = max(worst, float(np.vectorize(_ratio)(lhs, rhs).max()))
     return worst, {"g": g, "tiling": [str(q) for q in t], "phibar": phibar.name}
 
@@ -449,10 +448,13 @@ def _maximal_equiv_summary(results):
 
 
 def _cantor(ctx: SuiteContext, i: int):
-    """Snapped Cantor family: exact content, growth law, Luxemburg majorant,
-    and sparseness, each normalized by its tolerance."""
+    """Snapped Cantor family at d = n/m (m >= 2 an integer): exact content,
+    growth law, Luxemburg majorant and sparseness, each normalized by its
+    tolerance."""
     config = ctx.config
-    m = 2
+    m = round(config.n / config.d)
+    if m < 2 or CantorConfig(config.n, m, 0).d != config.d:
+        raise ValueError(f"cantor_suite needs d = n/m for an integer m >= 2, got d={config.d} at n={config.n}")
     K = min(config.L // m, 4)
     c = CantorConfig(config.n, m, K)
     checks = {}

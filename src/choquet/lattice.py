@@ -280,7 +280,10 @@ class GridFunction:
     @classmethod
     def from_json(cls, text: str) -> "GridFunction":
         obj = json.loads(text)
-        config = LatticeConfig(int(obj["n"]), int(obj["L"]), float(obj["d"]))
+        for field in ("n", "L"):
+            if type(obj[field]) is not int:  # bool is an int subclass; 2.9 would truncate
+                raise ValueError(f"{field} must be a JSON integer, got {json.dumps(obj[field])}")
+        config = LatticeConfig(obj["n"], obj["L"], float(obj["d"]))
         return cls(config, obj["values"])
 
     def to_csv(self, path) -> None:

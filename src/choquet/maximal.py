@@ -77,6 +77,5 @@ def orlicz_fractional_maximal(f: GridFunction, alpha: float, phi: YoungFunction)
     config = f.config
     if not 0.0 < alpha < config.n:
         raise ValueError(f"alpha must lie in (0, n), got {alpha}")
-    norms = luxemburg_norm_table(f, phi)
-    stats = [2.0 ** (-k * alpha) * norms[k].reshape((2**k,) * config.n) for k in range(config.L + 1)]
+    stats = [2.0 ** (-k * alpha) * norms for k, norms in enumerate(luxemburg_norm_table(f, phi))]
     return _sweep(config, stats)

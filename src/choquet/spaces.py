@@ -83,7 +83,7 @@ def _tile_profile(f: GridFunction, phi: YoungFunction, t: Tiling, term) -> np.nd
     table = luxemburg_norm_table(f, phi)
     per_level = [np.zeros(m.shape) for m in masks]
     for k, (m, vals) in enumerate(zip(masks, per_level)):
-        vals[m] = term(2.0**-k, table[k].reshape(m.shape)[m].astype(object))
+        vals[m] = term(2.0**-k, table[k][m].astype(object))
     return paint(masks, per_level)
 
 
@@ -121,14 +121,14 @@ class InadmissibleMeasureError(ValueError):
         self.cube = cube
 
 
-def _check_admissible(mu: GridFunction, tol: float = 1e-12) -> None:
-    """InadmissibleMeasureError at the smallest cube with mu(Q) > side^d;
-    ValueError for a negative density."""
+def _check_admissible(mu: GridFunction) -> None:
+    """InadmissibleMeasureError at the smallest cube with mu(Q) > side^d
+    (up to 1e-12 of rounding in the sums); ValueError for a negative density."""
     config = mu.config
     levels = pyramid(mu.grid * config.cell_volume)
     for k in range(config.L, -1, -1):  # finest first: report the smallest offending cube
         budget = 2.0 ** (-k * config.d)
-        bad = np.argwhere(levels[k] > budget + tol)
+        bad = np.argwhere(levels[k] > budget + 1e-12)
         if bad.size:
             idx = tuple(int(x) for x in bad[0])
             raise InadmissibleMeasureError(CubeId(k, idx), float(levels[k][idx]), budget)
@@ -171,7 +171,7 @@ def dual_witness(
     phibar = phi.complementary()
     alpha = config.n - config.d
 
-    norms = [a.reshape(m.shape) for a, m in zip(luxemburg_norm_table(f, phi), masks)]
+    norms = luxemburg_norm_table(f, phi)
     a = paint(masks, norms)
     fq = np.zeros(config.grid_shape)  # 0 on the tiles where a = 0
     pos = a > 0.0
@@ -182,7 +182,7 @@ def dual_witness(
              for ak, mk, bk, c in zip(norms, pyramid(mu.grid), pyramid(phibar(fq)), cells)]
     F = GridFunction(config, paint(masks, scale) * fq)
     # the tiles are disjoint, so F restricted to a tile is that tile's F_Q
-    certs = [c.reshape(m.shape) for c, m in zip(luxemburg_norm_table(F, phibar), masks)]
+    certs = luxemburg_norm_table(F, phibar)
     tiles = [(q, float(norms[q.level][q.index])) for q in t]
     return DualWitness(F, tuple((q, q.side**alpha * float(certs[q.level][q.index]) if a > 0.0 else 0.0, a)
                                 for q, a in tiles))

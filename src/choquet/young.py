@@ -12,14 +12,15 @@ example), and Phi-averages propagate +inf deterministically.
 Luxemburg norms inf{lam : mean Phi(|f|/lam) <= 1} have one solver behind
 `luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`.  Its rows
 are segments of one flat array with a length per row, summed by
-`np.add.reduceat`.  It uses closed forms for the identity, powers and their
-conjugates (the mean, the max, (mean |f|^p)^(1/p)), and for every other Phi
-a Newton iteration on s -> mean Phi(s|f|) inside a bisection bracket.  Each
-row stops on its own and its sums read its own entries only, so a cube's
-norm does not depend on which cubes share its solve: a table solves all its
-levels at once (a few at a time on large lattices) and still equals the
-single-cube value.  The Amemiya norm inf_s s(1 + mean Phi(|f|/s)) goes
-through the same solver, with Psi(t) = t Phi'(t) - Phi(t) in place of Phi.
+`np.add.reduceat`.  One table of power forms Phi = c t^r (the identity's
+conjugate is r = inf) gives the identity, powers and their conjugates both
+norms in closed form; every other Phi takes a Newton iteration on
+s -> mean Phi(s|f|) inside a bisection bracket.  Each row stops on its own
+and its sums read its own entries only, so a cube's norm does not depend on
+which cubes share its solve: a table, one array per level shaped like
+`pyramid`'s, solves its levels at once (a few at a time on large lattices)
+and still equals the single-cube value.  The Amemiya norm inf_s s(1 + mean
+Phi(|f|/s)) goes through the same solver, with Psi(t) = t Phi'(t) - Phi(t).
 """
 
 from __future__ import annotations
@@ -226,24 +227,32 @@ class NumericConjugate(YoungFunction):
     maximiser is the derivative, since (Phi*)'(t) = (Phi')^-1(t)."""
 
     _GRID = np.exp2(np.linspace(-40.0, 40.0, 641))  # 8 points per octave
-    _CHUNK = 1024  # arguments per grid scan, so the scan array stays ~5 MB
     _MEMO_SIZE = 2**16  # a table's Newton steps ask millions of distinct points
 
     def __init__(self, phi: YoungFunction):
         self.phi = phi
         self.name = f"conjugate:{phi.name}"
         self._memo = {}  # argument -> (value, maximiser); Newton asks Phi and Phi' at one point
+        # Phi is convex, so its chord slopes are nondecreasing (+inf where Phi
+        # is); ts - Phi(s) rises from grid point j to j+1 iff t > slope j.
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff(phi(self._GRID)) / np.diff(self._GRID)
+        self._slopes = np.where(np.isnan(slopes), np.inf, slopes)
 
     def _objective(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             val = t * s - self.phi(s)
         return np.where(np.isnan(val), -np.inf, val)
 
+    def _grid_argmax(self, t: np.ndarray) -> np.ndarray:
+        """The first grid index maximising ts - Phi(s) at each argument t:
+        the number of chord slopes below t."""
+        return np.searchsorted(self._slopes, t)
+
     def _solve(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Value and maximiser at each argument t."""
         grid, top = self._GRID, len(self._GRID) - 1
-        best = np.concatenate([np.argmax(self._objective(c[:, None], grid), axis=1)
-                               for c in np.split(t, range(self._CHUNK, len(t), self._CHUNK))])
+        best = self._grid_argmax(t)
         best_val = self._objective(t, grid[best])
         lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, top)]
         # ternary refinement on the unimodal objective
@@ -332,18 +341,14 @@ def _phi_mean(phi: YoungFunction, x: np.ndarray) -> float:
     return float(_phi_means(phi, x, np.zeros(1, dtype=int), np.array([x.size]))[0])
 
 
-def _segment_means(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    return np.add.reduceat(x, lens.cumsum() - lens) / lens
-
-
-# The norm of each segment w (largest entry 1) for the Young functions where
-# mean Phi(w / lam) = 1 solves in closed form.  Keyed on the exact type: a
-# subclass may override Phi and goes to the iterative solver.
-_CLOSED_FORMS = {
-    Identity: lambda phi, w, lens: _segment_means(w, lens),
-    IdentityConjugate: lambda phi, w, lens: np.ones(len(lens)),
-    Power: lambda phi, w, lens: _segment_means(w**phi.p, lens) ** (1.0 / phi.p),
-    PowerConjugate: lambda phi, w, lens: (phi.coeff * _segment_means(w**phi.pprime, lens)) ** (1.0 / phi.pprime),
+# Young functions of the form Phi(t) = c t^r, keyed on the exact type (a
+# subclass may override Phi and goes to the iterative solver): type -> (c, r).
+# The conjugate of the identity, 0 on [0, 1] and +inf beyond, is r = inf.
+_POWER_FORMS = {
+    Identity: lambda phi: (1.0, 1.0),
+    Power: lambda phi: (1.0, phi.p),
+    PowerConjugate: lambda phi: (phi.coeff, phi.pprime),
+    IdentityConjugate: lambda phi: (1.0, np.inf),
 }
 
 
@@ -409,28 +414,33 @@ def _luxemburg_rows(phi: YoungFunction, vals: np.ndarray, lens: np.ndarray | Non
     """Luxemburg norm of each row of `vals`: the rows of a 2-D array, or with
     `lens`, the consecutive segments of a flat array with those lengths.
     Each row is divided by its largest |entry| m first, so no power
-    overflows; the norm is m times the closed form, or m / s with s from
-    `_unit_roots`."""
+    overflows.  For Phi = c t^r the norm is m (c mean w^r)^(1/r), and m
+    itself at r = inf; otherwise it is m / s with s from `_unit_roots`."""
     if lens is None:
         lens = np.full(vals.shape[0], vals.shape[1])
     vals = np.abs(vals).reshape(-1)
     mx = np.maximum.reduceat(vals, lens.cumsum() - lens)
     out = np.zeros(len(lens))
     active = mx > 0.0
-    if active.any():
-        m = mx[active]
-        w = vals[np.repeat(active, lens)]
-        lens = lens[active]
-        w /= np.repeat(m, lens)
-        # A one-entry row scales to [1]: solve the first one, copy it to the rest.
-        single = np.flatnonzero(lens == 1)
-        solve = np.ones(len(lens), dtype=bool)
-        solve[single[1:]] = False
-        w, unit = w[np.repeat(solve, lens)], np.empty(len(lens))
-        closed = _CLOSED_FORMS.get(type(phi))
-        unit[solve] = _unit_roots(phi, w, lens[solve]) if closed is None else closed(phi, w, lens[solve])
-        unit[single] = unit[single[:1]]
-        out[active] = m / unit if closed is None else m * unit
+    if not active.any():
+        return out
+    m = mx[active]
+    w = vals[np.repeat(active, lens)]
+    lens = lens[active]
+    w /= np.repeat(m, lens)
+    form = _POWER_FORMS.get(type(phi))
+    if form is not None:
+        c, r = form(phi)
+        out[active] = m if np.isinf(r) else m * (c * np.add.reduceat(w**r, lens.cumsum() - lens) / lens) ** (1.0 / r)
+        return out
+    # A one-entry row scales to [1]: solve the first one, copy it to the rest.
+    single = np.flatnonzero(lens == 1)
+    solve = np.ones(len(lens), dtype=bool)
+    solve[single[1:]] = False
+    unit = np.empty(len(lens))
+    unit[solve] = _unit_roots(phi, w[np.repeat(solve, lens)], lens[solve])
+    unit[single] = unit[single[:1]]
+    out[active] = m / unit
     return out
 
 
@@ -447,25 +457,25 @@ _LUX_GROUP_ENTRIES = 2**14
 
 
 def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray]:
-    """Luxemburg norms of f over every lattice cube, one flat array per
-    level (C order of the cube index), each `==` to `luxemburg_norm` on
-    that cube.  The levels are solved together as segments of one flat
-    array, a few levels per solve on large lattices.  Cached per
-    (function, phi._cache_key()): GridFunction values are immutable, so the
-    table never goes stale."""
+    """Luxemburg norms of f over every lattice cube, one read-only array per
+    level shaped (2^k,)*n like `pyramid`, each entry `==` to
+    `luxemburg_norm` on that cube.  The levels are solved together as
+    segments of one flat array, a few levels per solve on large lattices.
+    Cached per (function, phi._cache_key()): GridFunction values are
+    immutable, so the table never goes stale."""
     cache = f.__dict__.setdefault("_lux_tables", {})
     key = phi._cache_key()
     if key not in cache:
         grid = np.abs(f.grid)
         blocks = [cube_blocks(grid, k) for k in range(f.config.L + 1)]
         per_solve = max(1, _LUX_GROUP_ENTRIES // grid.size)
-        table = []
+        flat = []
         for group in (blocks[i : i + per_solve] for i in range(0, len(blocks), per_solve)):
-            rows = [b.shape[0] for b in group]
             lens = np.concatenate([np.full(b.shape[0], b.shape[1]) for b in group])
             norms = _luxemburg_rows(phi, np.concatenate([b.reshape(-1) for b in group]), lens)
-            table += np.split(norms, np.cumsum(rows)[:-1])
-        cache[key] = table
+            norms.flags.writeable = False  # and so every level's view of it
+            flat += np.split(norms, np.cumsum([b.shape[0] for b in group])[:-1])
+        cache[key] = [a.reshape((2**k,) * f.config.n) for k, a in enumerate(flat)]
     return cache[key]
 
 
@@ -536,24 +546,6 @@ class _AmemiyaPsi(YoungFunction):
         return t * self.phi.deriv(t) - self.phi(t)
 
 
-def _power_amemiya(coeff: float, r: float, w: np.ndarray) -> float:
-    """The minimum of s(1 + mean coeff (w/s)^r): s* = ((r-1) coeff mean w^r)^(1/r)
-    and the minimum is s* r/(r-1)."""
-    return r / (r - 1.0) * ((r - 1.0) * coeff * float(np.mean(w**r))) ** (1.0 / r)
-
-
-# The Amemiya norm of |g| / max|g| where Psi gives no root to solve for: the
-# identity's Psi is 0 (the infimum is the limit s -> 0, the mean) and its
-# conjugate's is 0 then +inf (the minimum is at s = max, the max); powers
-# and their conjugates solve in closed form.
-_AMEMIYA_CLOSED_FORMS = {
-    Identity: lambda phi, w: float(np.mean(w)),
-    IdentityConjugate: lambda phi, w: 1.0,
-    Power: lambda phi, w: _power_amemiya(1.0, phi.p, w),
-    PowerConjugate: lambda phi, w: _power_amemiya(phi.coeff, phi.pprime, w),
-}
-
-
 def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     """The Amemiya norm inf_s s(1 + mean of Phi(|g|/s) over q).
 
@@ -567,8 +559,17 @@ def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     m = float(vals.max())
     if m == 0.0:
         return 0.0
-    closed = _AMEMIYA_CLOSED_FORMS.get(type(phi))
-    if closed is not None:
-        return m * closed(phi, vals / m)
-    s = float(_luxemburg_rows(_AmemiyaPsi(phi), vals)[0])
-    return s * (1.0 + _phi_mean(phi, vals.reshape(-1) / s))
+    form = _POWER_FORMS.get(type(phi))
+    if form is None:
+        s = float(_luxemburg_rows(_AmemiyaPsi(phi), vals)[0])
+        return s * (1.0 + _phi_mean(phi, vals.reshape(-1) / s))
+    # Phi = c t^r at w = |g| / m: the identity's Psi is 0 (the infimum is the
+    # limit s -> 0, the mean), its conjugate's is 0 then +inf (the minimum is
+    # at s = 1), and otherwise s* = ((r-1) c mean w^r)^(1/r) gives s* r/(r-1).
+    c, r = form(phi)
+    w = vals / m
+    if r == 1.0:
+        return m * float(np.mean(w))
+    if np.isinf(r):
+        return m
+    return m * (r / (r - 1.0) * ((r - 1.0) * c * float(np.mean(w**r))) ** (1.0 / r))

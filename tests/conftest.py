@@ -25,7 +25,7 @@ from choquet.lattice import (
     measure_of_cube,
 )
 from choquet.sparse import SparseFamily, SparseReport
-from choquet.young import LuxemburgConvergenceError, YoungFunction, luxemburg_norm
+from choquet.young import LuxemburgConvergenceError, NumericConjugate, YoungFunction, luxemburg_norm
 
 
 def _coarsen_sum_batch(a: np.ndarray) -> np.ndarray:
@@ -224,6 +224,16 @@ def bisect_luxemburg_rows(phi: YoungFunction, vals: np.ndarray) -> np.ndarray:
 
     out[active] = hi
     return out
+
+
+def scan_conjugate_index(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
+    """The first grid index maximising ts - Phi(s) over `NumericConjugate`'s
+    grid at each argument t, by evaluating the objective at all 641 grid
+    points (NaN counts as -inf)."""
+    grid = NumericConjugate._GRID
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj = np.asarray(t, dtype=float)[:, None] * grid - phi(grid)
+    return np.argmax(np.where(np.isnan(obj), -np.inf, obj), axis=1)
 
 
 def scan_amemiya(phi: YoungFunction, vals: np.ndarray, points: int = 2000) -> float:

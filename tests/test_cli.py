@@ -130,6 +130,15 @@ def test_block_norm_infinite_p_is_usage_error(capsys, tmp_path):
     assert "finite" in err
 
 
+def test_norm_invalid_tiling_is_usage_error(capsys, grid_file):
+    # 0:0 and 1:0 both cover the left half
+    code, out, err = run(capsys, "norm", "-i", grid_file, "--space", "block", "--p", "1",
+                         "--phi", "power:2", "--tiling", "0:0 1:0")
+    assert code == 2
+    assert out == ""
+    assert "invalid tiling: over-covered" in err and "Traceback" not in err
+
+
 def test_sparse_verify(capsys):
     code, out, _ = run(capsys, "--n", "1", "--L", "2", "--d", "0.5",
                        "sparse", "verify", "--cubes", "0:0 1:0", "--eta", "0.5")
@@ -235,6 +244,32 @@ def test_non_finite_input_is_usage_error(capsys, tmp_path, bad):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("field, bad", [("L", 2.9), ("n", True)])
+def test_non_integer_lattice_size_is_usage_error(capsys, tmp_path, field, bad):
+    doc = {"n": 1, "L": 2, "d": 0.5, "values": [1, 0, 1, 0]}
+    doc[field] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "choquet", "-i", path, "--p", "1")
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be a JSON integer" in err and "Traceback" not in err
+
+
+def test_verify_needs_lattice_flags(capsys):
+    code, out, err = run(capsys, "--n", "1", "--L", "3", "verify", "adams", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert "needs --n, --L and --d" in err
+
+
+def test_verify_cantor_suite_rejects_unsnapped_d(capsys):
+    code, out, err = run(capsys, "--n", "1", "--L", "6", "--d", "0.3", "verify", "cantor_suite")
+    assert code == 2
+    assert out == ""
+    assert "d = n/m" in err and "Traceback" not in err
 
 
 def test_no_command_is_usage_error(capsys):

@@ -24,6 +24,21 @@ def test_registry_is_complete():
     }
 
 
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 3), (1, 4)])
+def test_cantor_suite_snaps_at_requested_d(n, m):
+    # m = n/d sets the contraction; the identities hold exactly for every m >= 2
+    r = run_suite("cantor_suite", 1, 6, 0, n=n, d=n / m)
+    assert r.status == "pass", r.to_json()
+    assert r.details["depth"] == 6 // m
+
+
+@pytest.mark.parametrize("n, d", [(1, 0.3), (1, 0.9), (2, 1.5)])
+def test_cantor_suite_rejects_unsnapped_d(n, d):
+    # no integer m gives these d; snapping at m = 2 would check d = n/2 instead
+    with pytest.raises(ValueError, match="d = n/m"):
+        run_suite("cantor_suite", 1, 6, 0, n=n, d=d)
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_every_suite_passes_small(name):
     r = run_suite(name, **SMALL)

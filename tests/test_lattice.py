@@ -172,6 +172,15 @@ def test_grid_function_rejects_non_finite(bad):
         GridFunction.from_json(json.dumps({"n": 1, "L": 2, "d": 0.5, "values": [0.0, bad, 1.0, 0.0]}))
 
 
+@pytest.mark.parametrize("field, bad", [("L", 2.9), ("L", 2.0), ("L", "2"), ("n", True), ("n", None)])
+def test_from_json_requires_integer_sizes(field, bad):
+    # int() would read 2.9 as 2 and true as 1
+    doc = {"n": 1, "L": 2, "d": 0.5, "values": [0.0, 1.0, 1.0, 0.0]}
+    doc[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be a JSON integer"):
+        GridFunction.from_json(json.dumps(doc))
+
+
 def test_indicator_and_restrict():
     cfg = LatticeConfig(1, 2, 0.5)
     f = indicator(cfg, [CubeId(1, (1,))])

@@ -28,7 +28,7 @@ from choquet.young import (
     young_equality_residual,
 )
 
-from conftest import bisect_luxemburg_rows, scan_amemiya
+from conftest import bisect_luxemburg_rows, scan_amemiya, scan_conjugate_index
 
 ROOT1 = CubeId(0, (0,))
 
@@ -68,15 +68,15 @@ def _assert_matches_oracle(f, phi):
     grid = np.abs(f.grid)
     for k in range(f.config.L + 1):
         want = bisect_luxemburg_rows(phi, cube_blocks(grid, k))
-        assert np.array_equal(table[k] == 0.0, want == 0.0)
-        np.testing.assert_allclose(table[k], want, rtol=1e-9, atol=0.0)
+        assert np.array_equal(table[k].reshape(-1) == 0.0, want == 0.0)
+        np.testing.assert_allclose(table[k].reshape(-1), want, rtol=1e-9, atol=0.0)
 
 
 def _assert_table_is_single_cube(f, phi):
     table = luxemburg_norm_table(f, phi)
+    assert [a.shape for a in table] == [(2**k,) * f.config.n for k in range(f.config.L + 1)]
     for q in all_cubes(f.config):
-        flat = int(np.ravel_multi_index(q.index, (2**q.level,) * f.config.n))
-        assert luxemburg_norm(f, q, phi) == table[q.level][flat], q
+        assert luxemburg_norm(f, q, phi) == table[q.level][q.index], q
 
 
 def test_power_conjugate_closed_form():
@@ -142,6 +142,20 @@ def test_numeric_conjugate_argument_does_not_depend_on_batch(rng):
         for t, v, d in zip(ts, value, slope):
             alone = numeric_conjugate(phi)
             assert (alone(t), alone.deriv(t)) == (v, d)
+
+
+@pytest.mark.parametrize("phi", [LlogL(), ExpM1(), Power(2.0), Power(1.3)], ids=lambda p: p.name)
+def test_numeric_conjugate_grid_index_matches_scan(phi):
+    # the sorted search on chord slopes against the 641-point scan
+    conj = numeric_conjugate(phi)
+    rng = np.random.default_rng(17)
+    ts = np.concatenate([[0.0], np.exp2(np.arange(-30.0, 31.0)), np.exp2(rng.uniform(-30.0, 30.0, 4000))])
+    np.testing.assert_array_equal(conj._grid_argmax(ts), scan_conjugate_index(phi, ts))
+    # Phi'(2^40) bounds every chord slope, so twice it lies beyond the last chord
+    last = len(conj._GRID) - 1
+    beyond = 2.0 * phi.deriv(conj._GRID[-1:])
+    if np.isfinite(beyond[0]):
+        assert conj._grid_argmax(beyond)[0] == scan_conjugate_index(phi, beyond)[0] == last
 
 
 def test_numeric_biconjugate_recovers_power():
@@ -306,10 +320,22 @@ def test_luxemburg_table_equals_level_rows(f, phi):
     # all levels in one segmented solve against each level solved on its own
     grid = np.abs(f.grid)
     for k, norms in enumerate(luxemburg_norm_table(f, phi)):
-        assert list(norms) == list(_luxemburg_rows(phi, cube_blocks(grid, k)))
+        assert norms.shape == (2**k,) * f.config.n
+        assert list(norms.reshape(-1)) == list(_luxemburg_rows(phi, cube_blocks(grid, k)))
 
 
-@pytest.mark.parametrize("phi", [ExpM1(), LlogL(), ExpM1Conjugate(), Power(3.0)], ids=lambda p: p.name)
+@pytest.mark.parametrize("phi", [Identity(), IdentityConjugate(), Power(2.5), PowerConjugate(2.5), LlogL(),
+                                 ExpM1(), ExpM1Conjugate()], ids=lambda p: p.name)
+@pytest.mark.parametrize("n, L", [(1, 4), (2, 3), (3, 2)])
+def test_luxemburg_table_levels_are_pyramid_shaped(phi, n, L):
+    # read-only levels shaped (2^k,)*n, each entry the single-cube value
+    f = GridFunction(LatticeConfig(n, L, n / 2), np.exp(np.random.default_rng(n + L).normal(0.0, 2.0, 2 ** (n * L))))
+    _assert_table_is_single_cube(f, phi)
+    assert not any(a.flags.writeable for a in luxemburg_norm_table(f, phi))
+
+
+@pytest.mark.parametrize("phi", [ExpM1(), LlogL(), ExpM1Conjugate(), Power(3.0), IdentityConjugate()],
+                         ids=lambda p: p.name)
 def test_luxemburg_table_split_into_groups(phi):
     # a lattice whose levels do not fit one solve: the table is still level
     # by level and cube by cube the same
@@ -319,10 +345,9 @@ def test_luxemburg_table_split_into_groups(phi):
     f = GridFunction(cfg, np.exp(rng.normal(0.0, 2.0, cfg.num_cells)) * (rng.random(cfg.num_cells) < 0.8))
     table = luxemburg_norm_table(f, phi)
     for k, norms in enumerate(table):
-        assert list(norms) == list(_luxemburg_rows(phi, cube_blocks(np.abs(f.grid), k)))
+        assert list(norms.reshape(-1)) == list(_luxemburg_rows(phi, cube_blocks(np.abs(f.grid), k)))
     for q in list(all_cubes(f.config))[::53]:
-        flat = int(np.ravel_multi_index(q.index, (2**q.level,) * cfg.n))
-        assert luxemburg_norm(f, q, phi) == table[q.level][flat], q
+        assert luxemburg_norm(f, q, phi) == table[q.level][q.index], q
 
 
 @oracle_settings
