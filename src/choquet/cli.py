@@ -146,11 +146,14 @@ def _config(args) -> LatticeConfig:
 
 def _write_grid(args, g: GridFunction) -> None:
     if args.output:
-        if args.output.endswith(".csv"):
-            g.to_csv(args.output)
-        else:
-            with open(args.output, "w") as fh:
-                fh.write(g.to_json())
+        try:
+            if args.output.endswith(".csv"):
+                g.to_csv(args.output)
+            else:
+                with open(args.output, "w") as fh:
+                    fh.write(g.to_json())
+        except OSError as exc:
+            raise SystemExit(_io_error(f"cannot write grid function to {args.output}: {exc}"))
     else:
         print(g.to_json())
 

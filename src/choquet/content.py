@@ -13,10 +13,14 @@ no ancestor was taken.  It is held as per-level index arrays, which
 The Choquet integral needs the content of every level set {f >= t}.  It
 runs the same recurrence once for all of them by a sorted merge over the
 distinct values: each cube keeps one cost per distinct value inside it, and
-a parent merges its 2^n children's lists.  The work is the sum over cubes
-of the distinct values inside each, at most N*(L+1) for N leaf cells, so
-continuous values at n=2, L=9 or n=3, L=6 take well under a second.  The
-costs are bit-identical to one full-lattice DP per level set.
+a parent merges its 2^n children's lists.  A cube's cost never falls as
+the value falls (the content is monotone, and fp + and min are too), so
+once it reaches side^d it stays exactly side^d: the merge keeps the first
+such entry and drops the rest, whose costs the parent reads, unchanged,
+from the kept one.  Unpruned, the work would be the sum over cubes of the
+distinct values inside each, up to N*(L+1) for N leaf cells; pruned,
+continuous values at n=2, L=9 or n=3, L=6 take about a tenth of a second.
+The costs are bit-identical to one full-lattice DP per level set.
 
 The Frostman measure realizes the dual packing side: mass H^d(E) enters at
 the root and splits among occupied children proportionally to their DP
@@ -152,7 +156,11 @@ def choquet_integral(f: GridFunction) -> float:
     Every cube Q keeps one entry per distinct value t inside it, holding
     the DP cost of {f >= t} on Q.  A parent merges its children's entries
     in descending value; at each of its values a child contributes the
-    cost of its latest entry so far (its smallest value >= t), or 0."""
+    cost of its latest entry so far (its smallest value >= t), or 0.
+    Entries after Q's first one with cost side(Q)^d are dropped: costs
+    never fall down the list, so theirs is that same float, and the
+    latest-entry rule reads it from the kept one.  The root's kept entries
+    stand for every rank up to the next one kept."""
     if not f.is_nonnegative():
         raise ValueError("Choquet integral requires f >= 0")
     n, L, d = f.config.n, f.config.L, f.config.d
@@ -163,29 +171,35 @@ def choquet_integral(f: GridFunction) -> float:
         return 0.0
     # An entry's key packs (cube, rank), rank 0 for the largest value, so
     # keys sort by cube and then by descending value.
-    bits = max(levels.size - 1, 1).bit_length()
-    key = (cube << bits) | ((levels.size - 1) - inverse.reshape(-1))
+    V = levels.size
+    bits = max(V - 1, 1).bit_length()
+    key = (cube << bits) | ((V - 1) - inverse.reshape(-1))
     cost = np.full(cube.size, 2.0 ** (-L * d))
     for k in range(L - 1, -1, -1):
-        child = (key >> bits) & (2**n - 1)
-        key = (key >> (bits + n) << bits) | (key & ((1 << bits) - 1))  # (parent, rank)
+        cube = key >> bits
+        child = cube & (2**n - 1)
+        key -= (cube - (cube >> n)) << bits  # (parent, rank)
         # The entries are sorted by (parent, child, rank), so sorting by
         # (parent, rank) only merges each parent's 2^n child runs.  Both
         # orders hold a parent's entries at the same index range.
         order = np.argsort(key, kind="stable")
         key = key[order]
-        new = np.concatenate(([True], key[1:] != key[:-1]))
-        group = np.empty_like(order)
-        group[order] = np.cumsum(new) - 1  # one group per (parent, value)
+        new = np.empty(key.size, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
         start = np.flatnonzero(new)
         key = key[start]
         parent = key >> bits
         # latest[c, g]: child c's latest entry up to group g, as index 2i+1
         # into [0, cost_0, 0, cost_1, ...]; a forward fill from 2 * (the
         # parent's first index), which reads 0 while c has no entry yet.
-        first = np.concatenate(([True], parent[1:] != parent[:-1]))
-        latest = np.tile(2 * np.maximum.accumulate(np.where(first, start, 0)), (2**n, 1))
-        latest.reshape(-1)[child * key.size + group] = 2 * np.arange(cost.size) + 1
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(parent[1:], parent[:-1], out=first[1:])
+        latest = np.empty((2**n, key.size), dtype=start.dtype)
+        latest[:] = 2 * np.maximum.accumulate(np.where(first, start, 0))
+        # sorted entry j is entry order[j], in group cumsum(new)[j] - 1
+        latest.reshape(-1)[child[order] * key.size + (np.cumsum(new) - 1)] = 2 * order + 1
         np.maximum.accumulate(latest, axis=1, out=latest)
         padded = np.zeros(2 * cost.size)
         padded[1::2] = cost
@@ -193,8 +207,19 @@ def choquet_integral(f: GridFunction) -> float:
         terms = padded[latest].reshape((2,) * n + (-1,))
         for _ in range(n):
             terms = terms[0] + terms[1]
-        cost = np.minimum(2.0 ** (-k * d), terms)
-    contents = cost[::-1]  # the root's entries, by ascending value
+        side = 2.0 ** (-k * d)
+        cost = np.minimum(side, terms)
+        # Costs never fall down a cube's ranks, so after its first entry
+        # equal to side every later one is side too: drop them, and the
+        # forward fills above read that same float from the kept entry.
+        keep = first
+        keep[1:] |= cost[:-1] < side
+        key, cost = key[keep], cost[keep]
+    # Rank r reads the root's last kept entry at or before r; by ascending
+    # value, these are the contents of the level sets.
+    kept = np.zeros(V, dtype=np.intp)
+    kept[key[1:]] = 1
+    contents = cost[np.cumsum(kept)][::-1]
     steps = np.diff(levels, prepend=0.0)
     return float((steps * contents).sum())
 

@@ -279,12 +279,24 @@ class GridFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "GridFunction":
+        """A JSON object with integer n and L, a number d and a flat list of
+        numbers as values; anything else is a ValueError naming the field.
+        JSON true/false are not numbers here, though Python's bool is an int."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object with n, L, d and values, got a JSON {type(obj).__name__}")
+        for field in ("n", "L", "d", "values"):
+            if field not in obj:
+                raise ValueError(f"missing field {field!r}")
         for field in ("n", "L"):
-            if type(obj[field]) is not int:  # bool is an int subclass; 2.9 would truncate
+            if type(obj[field]) is not int:  # 2.9 would truncate
                 raise ValueError(f"{field} must be a JSON integer, got {json.dumps(obj[field])}")
-        config = LatticeConfig(obj["n"], obj["L"], float(obj["d"]))
-        return cls(config, obj["values"])
+        if type(obj["d"]) not in (int, float):
+            raise ValueError(f"d must be a JSON number, got {json.dumps(obj['d'])}")
+        values = obj["values"]
+        if type(values) is not list or not set(map(type, values)) <= {int, float}:
+            raise ValueError("values must be a flat JSON list of numbers")
+        return cls(LatticeConfig(obj["n"], obj["L"], float(obj["d"])), values)
 
     def to_csv(self, path) -> None:
         """CSV alternative: one leaf value per row, row-major leaf order."""

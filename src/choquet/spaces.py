@@ -21,6 +21,7 @@ from .lattice import (
     LatticeConfig,
     Tiling,
     children,
+    cube_blocks,
     indicator,
     level_masks,
     paint,
@@ -28,7 +29,7 @@ from .lattice import (
     validate_masks,
 )
 from .maximal import fractional_measure_maximal, orlicz_fractional_maximal
-from .young import YoungFunction, luxemburg_norm_table
+from .young import YoungFunction, _luxemburg_rows, luxemburg_norm_table
 
 __all__ = [
     "SpaceSpec",
@@ -160,8 +161,9 @@ def dual_witness(
     The attached certificate side(Q)^(n-d) ||F_Q||_{Phibar;Q} is bounded by
     a^(p-1) whenever mu is admissible.  All tiles are handled at once on the
     tiling's level masks: the tile norms come from the cached Luxemburg
-    table of f, the certificates from the table of F, and both are listed
-    in the tiling's (level, index) order.
+    table of f, the certificates from one solve over the tiles of F (F is
+    new per call, so a table of it would be solved for every cube), and
+    both are listed in the tiling's (level, index) order.
     """
     if not p > 1:
         raise ValueError(f"exponent must satisfy p > 1, got {p}")
@@ -181,11 +183,14 @@ def dual_witness(
     scale = [ak ** (p - 1.0) * (mk / c) / (1.0 + bk / c)
              for ak, mk, bk, c in zip(norms, pyramid(mu.grid), pyramid(phibar(fq)), cells)]
     F = GridFunction(config, paint(masks, scale) * fq)
-    # the tiles are disjoint, so F restricted to a tile is that tile's F_Q
-    certs = luxemburg_norm_table(F, phibar)
+    # the tiles are disjoint, so F restricted to a tile is that tile's F_Q:
+    # one solve over the tiles' leaf blocks, rows in (level, index) order
+    blocks = [cube_blocks(F.grid, k)[m.reshape(-1)] for k, m in enumerate(masks) if m.any()]
+    certs = _luxemburg_rows(phibar, np.concatenate([b.reshape(-1) for b in blocks]),
+                            np.concatenate([np.full(b.shape[0], b.shape[1]) for b in blocks]))
     tiles = [(q, float(norms[q.level][q.index])) for q in t]
-    return DualWitness(F, tuple((q, q.side**alpha * float(certs[q.level][q.index]) if a > 0.0 else 0.0, a)
-                                for q, a in tiles))
+    return DualWitness(F, tuple((q, q.side**alpha * float(c) if a > 0.0 else 0.0, a)
+                                for (q, a), c in zip(tiles, certs)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from choquet.content import _cost_tables
+from choquet.content import _cost_tables, _morton_order
 from choquet.lattice import (
     CubeId,
     GridFunction,
@@ -57,6 +57,45 @@ def mask_choquet_integral(config: LatticeConfig, grid: np.ndarray) -> float:
         return 0.0
     masks = grid[None, ...] >= levels.reshape((-1,) + (1,) * grid.ndim)
     contents = content_values_batch(config, masks)
+    steps = np.diff(levels, prepend=0.0)
+    return float((steps * contents).sum())
+
+
+def merge_choquet_integral(f: GridFunction) -> float:
+    """`choquet_integral` without saturation pruning: every cube carries one
+    entry per distinct value inside it up to the root, N*(L+1) entries at
+    most, and the root holds the content of every level set."""
+    n, L, d = f.config.n, f.config.L, f.config.d
+    leaves = _morton_order(f.grid, L)
+    cube = np.flatnonzero(leaves > 0.0)
+    levels, inverse = np.unique(leaves[cube], return_inverse=True)
+    if levels.size == 0:
+        return 0.0
+    bits = max(levels.size - 1, 1).bit_length()
+    key = (cube << bits) | ((levels.size - 1) - inverse.reshape(-1))
+    cost = np.full(cube.size, 2.0 ** (-L * d))
+    for k in range(L - 1, -1, -1):
+        child = (key >> bits) & (2**n - 1)
+        key = (key >> (bits + n) << bits) | (key & ((1 << bits) - 1))  # (parent, rank)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.concatenate(([True], key[1:] != key[:-1]))
+        group = np.empty_like(order)
+        group[order] = np.cumsum(new) - 1  # one group per (parent, value)
+        start = np.flatnonzero(new)
+        key = key[start]
+        parent = key >> bits
+        first = np.concatenate(([True], parent[1:] != parent[:-1]))
+        latest = np.tile(2 * np.maximum.accumulate(np.where(first, start, 0)), (2**n, 1))
+        latest.reshape(-1)[child * key.size + group] = 2 * np.arange(cost.size) + 1
+        np.maximum.accumulate(latest, axis=1, out=latest)
+        padded = np.zeros(2 * cost.size)
+        padded[1::2] = cost
+        terms = padded[latest].reshape((2,) * n + (-1,))
+        for _ in range(n):
+            terms = terms[0] + terms[1]
+        cost = np.minimum(2.0 ** (-k * d), terms)
+    contents = cost[::-1]  # the root's entries, by ascending value
     steps = np.diff(levels, prepend=0.0)
     return float((steps * contents).sum())
 
@@ -114,6 +153,20 @@ def per_tile_dual_witness(f: GridFunction, mu: GridFunction, p: float, phi: Youn
     F = GridFunction(config, out)
     certs = [(q, q.side**alpha * luxemburg_norm(F, q, phibar) if a > 0.0 else 0.0, a) for q, a in norms]
     return F, certs
+
+
+# Grid files that `GridFunction.from_json` rejects: name -> (JSON text,
+# start of the ValueError message).
+MALFORMED_GRID_FILES = {
+    "top_level_array": ("[1, 2, 0.5, [1, 0]]", "expected a JSON object"),
+    "dict_among_values": ('{"n": 1, "L": 1, "d": 0.5, "values": [1, {"a": 1}]}', "values must be"),
+    "string_d": ('{"n": 1, "L": 1, "d": "0.5", "values": [1, 0]}', "d must be a JSON number"),
+    "bool_d": ('{"n": 1, "L": 1, "d": true, "values": [1, 0]}', "d must be a JSON number"),
+    "bool_values": ('{"n": 1, "L": 1, "d": 0.5, "values": [true, false]}', "values must be"),
+    "nested_values": ('{"n": 1, "L": 1, "d": 0.5, "values": [[1], [0]]}', "values must be"),
+    "null_values": ('{"n": 1, "L": 1, "d": 0.5, "values": null}', "values must be"),
+    "missing_values": ('{"n": 1, "L": 1, "d": 0.5}', "missing field 'values'"),
+}
 
 
 _MAX_L = {1: 5, 2: 3, 3: 2}  # n*L <= 6 keeps the slice oracles fast

@@ -12,6 +12,8 @@ import pytest
 from choquet.cli import main
 from choquet.lattice import GridFunction, LatticeConfig
 
+from conftest import MALFORMED_GRID_FILES
+
 
 @pytest.fixture
 def grid_file(tmp_path):
@@ -256,6 +258,28 @@ def test_non_integer_lattice_size_is_usage_error(capsys, tmp_path, field, bad):
     assert code == 2
     assert out == ""
     assert f"{field} must be a JSON integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRID_FILES))
+def test_malformed_grid_file_is_usage_error(capsys, tmp_path, name):
+    text, message = MALFORMED_GRID_FILES[name]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "choquet", "-i", path, "--p", "1")
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["frostman"], ["maximal", "hl"], ["sparse", "apply", "--cubes", "0:0"]])
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_unwritable_output_is_usage_error(capsys, set_file, tmp_path, args, suffix):
+    target = tmp_path / "absent" / f"out{suffix}"
+    code, out, err = run(capsys, *args, "-i", set_file, "-o", target)
+    assert code == 2
+    assert out == ""
+    assert f"cannot write grid function to {target}" in err
+    assert not target.parent.exists()
 
 
 def test_verify_needs_lattice_flags(capsys):

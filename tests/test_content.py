@@ -18,6 +18,7 @@ from choquet.lattice import (
     indicator,
     measure_of_cube,
 )
+from choquet.sparse import CantorConfig, apply_sparse, cantor_family
 
 from conftest import (
     brute_force_content,
@@ -25,6 +26,7 @@ from conftest import (
     lp_cover_value,
     lp_frostman_value,
     mask_choquet_integral,
+    merge_choquet_integral,
     random_leaf_mask,
     sorted_cover_strings,
     stack_walk_cover,
@@ -240,6 +242,35 @@ def test_choquet_layer_cake_oracle(rng):
 @given(lattice_functions())
 def test_choquet_integral_matches_mask_oracle(f):
     assert choquet_integral(f) == mask_choquet_integral(f.config, f.grid)
+
+
+@pytest.mark.parametrize("n,L,d", [(2, 9, 1.3), (3, 6, 1.5), (1, 14, 0.5)])
+@pytest.mark.parametrize("kind", ["continuous", "quantised16", "support10"])
+def test_choquet_integral_matches_unpruned_merge(n, L, d, kind):
+    # large lattices, where saturation pruning drops most entries
+    cfg = LatticeConfig(n, L, d)
+    rng = np.random.default_rng(2026)
+    vals = rng.random(cfg.num_cells)
+    if kind == "quantised16":
+        vals = np.floor(vals * 16) / 15
+    elif kind == "support10":
+        vals = vals * (rng.random(cfg.num_cells) < 0.1)
+    f = GridFunction(cfg, vals)
+    assert choquet_integral(f) == merge_choquet_integral(f)
+
+
+def test_choquet_integral_matches_unpruned_merge_on_cantor_image():
+    fam = cantor_family(CantorConfig(2, 2, 4), 8)
+    F = apply_sparse(GridFunction.constant(fam.config, 1.0), fam.family)
+    assert choquet_integral(F) == merge_choquet_integral(F) == 5.0
+
+
+@oracle_settings
+@given(lattice_functions(), st.integers(1, 8))
+def test_choquet_integral_matches_unpruned_merge_with_ties(f, steps):
+    # rounding to a few levels makes many leaves share each value
+    tied = GridFunction(f.config, np.round(f.values * steps) / steps)
+    assert choquet_integral(tied) == merge_choquet_integral(tied)
 
 
 def test_choquet_integral_continuous_large_lattice(rng):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import configs, families, slice_paint, tilings
+from conftest import MALFORMED_GRID_FILES, configs, families, slice_paint, tilings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,6 +179,19 @@ def test_from_json_requires_integer_sizes(field, bad):
     doc[field] = bad
     with pytest.raises(ValueError, match=f"^{field} must be a JSON integer"):
         GridFunction.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRID_FILES))
+def test_from_json_schema_names_the_field(name):
+    text, message = MALFORMED_GRID_FILES[name]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        GridFunction.from_json(text)
+
+
+def test_from_json_accepts_integer_values_and_d():
+    g = GridFunction.from_json('{"n": 2, "L": 1, "d": 1, "values": [1, 0, 2.5, 0]}')
+    assert g.config == LatticeConfig(2, 1, 1.0)
+    assert np.array_equal(g.values, [1.0, 0.0, 2.5, 0.0])
 
 
 def test_indicator_and_restrict():

@@ -29,7 +29,7 @@ from choquet.spaces import (
     space_norm,
     tiling_orlicz_morrey_norm,
 )
-from choquet.young import ExpM1, Identity, LlogL, Power, luxemburg_norm
+from choquet.young import ExpM1, Identity, LlogL, Power, luxemburg_norm, luxemburg_norm_table
 
 ROOT1 = CubeId(0, (0,))
 LEAVES = lambda cfg: Tiling([CubeId(cfg.L, (j,)) for j in range(2**cfg.L)])
@@ -239,6 +239,23 @@ def test_dual_witness_matches_per_tile_oracle(data):
         if a == 0.0:
             assert cert == 0.0
             assert not w.F.restrict(q).any()
+
+
+@oracle_settings
+@given(data=st.data())
+def test_dual_witness_certificates_match_table_of_F(data):
+    # one solve over the tiles gives the entries of F's full Luxemburg table
+    config = data.draw(configs())
+    t = Tiling(data.draw(tilings(config)))
+    phi = data.draw(st.sampled_from([Identity(), Power(1.5), Power(3.0), LlogL(), ExpM1()]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = GridFunction(config, rng.random(config.grid_shape) * (rng.random(config.grid_shape) < 0.8))
+    mu = frostman_measure(GridFunction.constant(config, 1.0))
+    w = dual_witness(f, mu, 2.5, phi, t)
+    table = luxemburg_norm_table(w.F, phi.complementary())
+    alpha = config.n - config.d
+    assert [cert for _, cert, _ in w.certificates] == [
+        q.side**alpha * float(table[q.level][q.index]) if a > 0.0 else 0.0 for q, _, a in w.certificates]
 
 
 def test_dual_witness_rejects_p_le_1():
