@@ -132,11 +132,11 @@ def frostman_measure(E: GridFunction) -> GridFunction:
 
     mass = costs[0].copy()  # level-0 mass: the content itself
     for k in range(config.L):
-        child_cost = costs[k + 1]
-        total = coarsen(child_cost)
-        parent_mass = refine(mass, 2)
-        scale = refine(np.where(total > 0.0, 1.0 / np.where(total > 0.0, total, 1.0), 0.0), 2)
-        mass = parent_mass * scale * child_cost
+        # mass per unit child cost, formed at the parent level and refined
+        # once: the same product per child as refining both factors
+        total = coarsen(costs[k + 1])
+        scale = np.where(total > 0.0, 1.0 / np.where(total > 0.0, total, 1.0), 0.0)
+        mass = refine(mass * scale, 2) * costs[k + 1]
     density = mass / config.cell_volume
     return GridFunction(config, density.reshape(-1))
 

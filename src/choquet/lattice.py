@@ -169,17 +169,20 @@ def cube_count(config: LatticeConfig) -> int:
 def coarsen(a: np.ndarray, op=np.add) -> np.ndarray:
     """Combine each 2x...x2 block with the ufunc `op`, halving every axis:
     one level up the cube tree.  The block is reduced one axis at a time,
-    axis 0 first, as `a.sum` (`op=np.add`) or `a.min` (`op=np.minimum`)."""
+    axis 0 first, as `a.sum` (`op=np.add`) or `a.min` (`op=np.minimum`).
+    Each axis is one `op` of its even and odd slices, the same value as a
+    reduce over a length-2 axis but without its length-2 inner loops."""
     for ax in range(a.ndim):
-        shape = a.shape[:ax] + (a.shape[ax] // 2, 2) + a.shape[ax + 1 :]
-        a = op.reduce(a.reshape(shape), axis=ax + 1)
+        head = (slice(None),) * ax
+        a = op(a[head + (slice(0, None, 2),)], a[head + (slice(1, None, 2),)])
     return a
 
 
 def refine(a: np.ndarray, factor: int) -> np.ndarray:
     """Repeat each entry `factor` times along every axis: a per-cube array
-    taken log2(factor) levels down the cube tree."""
-    for ax in range(a.ndim):
+    taken log2(factor) levels down the cube tree.  The last axis goes
+    first, while the array is smallest; the others repeat whole rows."""
+    for ax in reversed(range(a.ndim)):
         a = np.repeat(a, factor, axis=ax)
     return a
 
@@ -307,8 +310,18 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path, config: LatticeConfig) -> "GridFunction":
+        """One number per non-empty row; anything else is a ValueError
+        naming the 1-based row."""
+        vals = []
         with open(path, newline="") as fh:
-            vals = [float(row[0]) for row in csv.reader(fh) if row]
+            for i, row in enumerate(csv.reader(fh), 1):
+                if not row:
+                    continue
+                try:
+                    (v,) = row
+                    vals.append(float(v))
+                except ValueError:
+                    raise ValueError(f"row {i}: expected one number, got {','.join(row)!r}") from None
         return cls(config, vals)
 
 

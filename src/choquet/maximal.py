@@ -2,9 +2,11 @@
 fractional Orlicz.
 
 Each operator is a top-down sweep: per-level cube statistics are computed
-once, upsampled to leaf resolution, and folded into a running maximum.
-Ties break toward the smallest level (largest cube) so argmax records are
-deterministic.
+once and folded into a running maximum that is kept at each level's own
+resolution.  Level k's maximum is refined one level and compared with the
+level-(k+1) statistics, so the sweep touches about N*2^n/(2^n-1) cells
+for N leaf cells, not N per level.  Ties break toward the smallest level
+(largest cube) so argmax records are deterministic.
 """
 
 from __future__ import annotations
@@ -39,16 +41,24 @@ class MaximalResult:
 def _sweep(config: LatticeConfig, level_stats: list[np.ndarray]) -> MaximalResult:
     """Running max of per-cube statistics along root-to-leaf paths.
 
-    level_stats[k] holds one value per level-k cube, shaped (2^k,)*n.
+    level_stats[k] holds one value per level-k cube, shaped (2^k,)*n.  The
+    maximum over a cube's ancestors and itself is held per cube, one level
+    at a time: one `refine(., 2)` takes it to the children, which compare
+    their own statistic with a strict `>`, so ties keep the larger cube.
+    The work is about N*2^n/(2^n-1) cells, against N per level for a
+    running max on the leaf grid.  Both updates are in place and without
+    masks: statistics are never NaN, so `np.maximum(stat, best)` has the
+    values of the strict fold, and every level recorded above level k is
+    below k, so `where(stat > best, k, arg)` is `maximum(arg, (stat >
+    best) * k)`, kept in the smallest integer type that holds L.
     """
-    best = np.full(config.grid_shape, level_stats[0].reshape(-1)[0])
-    arg = np.zeros(config.grid_shape, dtype=int)
+    best = level_stats[0].copy()
+    arg = np.zeros(best.shape, dtype=np.min_scalar_type(config.L))
     for k in range(1, config.L + 1):
-        up = refine(level_stats[k], 2 ** (config.L - k))
-        better = up > best  # strict: ties keep the larger cube
-        best = np.where(better, up, best)
-        arg = np.where(better, k, arg)
-    return MaximalResult(GridFunction(config, best.reshape(-1)), arg)
+        best, arg, stat = refine(best, 2), refine(arg, 2), level_stats[k]
+        np.maximum(arg, (stat > best) * arg.dtype.type(k), out=arg)
+        np.maximum(stat, best, out=best)
+    return MaximalResult(GridFunction(config, best.reshape(-1)), arg.astype(int))
 
 
 def hl_maximal(f: GridFunction) -> MaximalResult:

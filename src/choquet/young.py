@@ -227,12 +227,16 @@ class NumericConjugate(YoungFunction):
     maximiser is the derivative, since (Phi*)'(t) = (Phi')^-1(t)."""
 
     _GRID = np.exp2(np.linspace(-40.0, 40.0, 641))  # 8 points per octave
+    # Memo of solved arguments as sorted arrays (arguments, values,
+    # maximisers): Newton asks Phi and Phi' at the same points one after
+    # the other, and the harness asks the same few points on every trial.
+    # Replaced, never written into, so the class's start (t = 0) is shared.
+    _memo = (np.zeros(1), np.zeros(1), np.zeros(1))
     _MEMO_SIZE = 2**16  # a table's Newton steps ask millions of distinct points
 
     def __init__(self, phi: YoungFunction):
         self.phi = phi
         self.name = f"conjugate:{phi.name}"
-        self._memo = {}  # argument -> (value, maximiser); Newton asks Phi and Phi' at one point
         # Phi is convex, so its chord slopes are nondecreasing (+inf where Phi
         # is); ts - Phi(s) rises from grid point j to j+1 iff t > slope j.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -277,20 +281,23 @@ class NumericConjugate(YoungFunction):
         return value, arg
 
     def _lookup(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Value and maximiser at each entry of t, from the memo or `_solve`."""
+        """Value and maximiser at each entry of t, from the memo or `_solve`;
+        both are 0 at t = 0."""
         t = np.asarray(t, dtype=float)
         uniq, inv = np.unique(t.reshape(-1), return_inverse=True)
-        keys = uniq.tolist()
-        pairs = np.array([self._memo.get(x, (np.nan, np.nan)) for x in keys]).reshape(-1, 2)
-        pairs[uniq == 0.0] = 0.0
-        miss = np.flatnonzero(np.isnan(pairs[:, 0]))
+        keys, values, args = self._memo
+        pos = np.searchsorted(keys, uniq).clip(max=keys.size - 1)
+        hit = keys[pos] == uniq
+        value, arg = np.where(hit, values[pos], 0.0), np.where(hit, args[pos], 0.0)
+        miss = np.flatnonzero(~hit & (uniq != 0.0))
         if miss.size:
-            pairs[miss, 0], pairs[miss, 1] = self._solve(uniq[miss])
-            if len(self._memo) + miss.size > self._MEMO_SIZE:
-                self._memo.clear()
-            self._memo.update(zip([keys[i] for i in miss], map(tuple, pairs[miss].tolist())))
+            value[miss], arg[miss] = self._solve(uniq[miss])
+            if keys.size + miss.size > self._MEMO_SIZE:
+                keys, values, args = NumericConjugate._memo
+            at = np.searchsorted(keys, uniq[miss])
+            self._memo = tuple(np.insert(a, at, new[miss]) for a, new in ((keys, uniq), (values, value), (args, arg)))
         inv = inv.reshape(-1)
-        return pairs[inv, 0].reshape(t.shape), pairs[inv, 1].reshape(t.shape)
+        return value[inv].reshape(t.shape), arg[inv].reshape(t.shape)
 
     def __call__(self, t):
         return self._lookup(t)[0]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from choquet.content import _cost_tables, _morton_order
+from choquet.content import _as_occupancy, _cost_tables, _morton_order
 from choquet.lattice import (
     CubeId,
     GridFunction,
@@ -21,9 +21,12 @@ from choquet.lattice import (
     Tiling,
     all_cubes,
     children,
+    coarsen,
     cube_slices,
     measure_of_cube,
+    refine,
 )
+from choquet.maximal import MaximalResult
 from choquet.sparse import SparseFamily, SparseReport
 from choquet.young import LuxemburgConvergenceError, NumericConjugate, YoungFunction, luxemburg_norm
 
@@ -98,6 +101,35 @@ def merge_choquet_integral(f: GridFunction) -> float:
     contents = cost[::-1]  # the root's entries, by ascending value
     steps = np.diff(levels, prepend=0.0)
     return float((steps * contents).sum())
+
+
+def leaf_sweep(config: LatticeConfig, level_stats: list[np.ndarray]) -> MaximalResult:
+    """`maximal._sweep` on the leaf grid: every level's statistics refined
+    to all 2^(nL) leaves and folded into a leaf-resolution running max by
+    strict `>` (ties keep the larger cube), L full-grid passes."""
+    best = np.full(config.grid_shape, level_stats[0].reshape(-1)[0])
+    arg = np.zeros(config.grid_shape, dtype=int)
+    for k in range(1, config.L + 1):
+        up = refine(level_stats[k], 2 ** (config.L - k))
+        better = up > best
+        best = np.where(better, up, best)
+        arg = np.where(better, k, arg)
+    return MaximalResult(GridFunction(config, best.reshape(-1)), arg)
+
+
+def two_refine_frostman_measure(E: GridFunction) -> GridFunction:
+    """`frostman_measure` with the parent's mass and the inverse child-cost
+    total each refined to the child level before they are multiplied."""
+    config = E.config
+    costs, _ = _cost_tables(config, _as_occupancy(E))
+    mass = costs[0].copy()
+    for k in range(config.L):
+        child_cost = costs[k + 1]
+        total = coarsen(child_cost)
+        parent_mass = refine(mass, 2)
+        scale = refine(np.where(total > 0.0, 1.0 / np.where(total > 0.0, total, 1.0), 0.0), 2)
+        mass = parent_mass * scale * child_cost
+    return GridFunction(config, (mass / config.cell_volume).reshape(-1))
 
 
 def stack_walk_cover(config: LatticeConfig, occ: np.ndarray) -> frozenset:

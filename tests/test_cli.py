@@ -271,6 +271,26 @@ def test_malformed_grid_file_is_usage_error(capsys, tmp_path, name):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows,bad_row", [(["1,7", "0,x", "1", "0"], 1), (["1", "0,x", "1", "0"], 2),
+                                          (["1", "", "0", "x"], 4), (["1", "0", ",", "0"], 3)])
+def test_csv_row_without_one_number_is_usage_error(capsys, tmp_path, rows, bad_row):
+    # a row such as "1,7" was read as 1 before
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code, out, err = run(capsys, "--n", "1", "--L", "2", "--d", "0.5", "choquet", "-i", path, "--p", "1")
+    assert code == 2
+    assert out == ""
+    assert f"row {bad_row}: expected one number" in err and "Traceback" not in err
+
+
+def test_csv_blank_rows_are_skipped(capsys, tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("2\n\n0\n1\n\n0\n")
+    code, out, _ = run(capsys, "--n", "1", "--L", "2", "--d", "0.5", "choquet", "-i", path, "--p", "1")
+    assert code == 0
+    assert out.strip() == "1.500000000000"
+
+
 @pytest.mark.parametrize("args", [["frostman"], ["maximal", "hl"], ["sparse", "apply", "--cubes", "0:0"]])
 @pytest.mark.parametrize("suffix", [".json", ".csv"])
 def test_unwritable_output_is_usage_error(capsys, set_file, tmp_path, args, suffix):

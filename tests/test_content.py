@@ -30,6 +30,7 @@ from conftest import (
     random_leaf_mask,
     sorted_cover_strings,
     stack_walk_cover,
+    two_refine_frostman_measure,
 )
 
 # Derandomized so every run checks the same examples; no example database.
@@ -183,6 +184,23 @@ def test_frostman_example():
     mu = frostman_measure(E)
     assert np.array_equal(mu.values, [2.0, 0.0, 2.0, 0.0])
     assert measure_of_cube(mu, CubeId(0, (0,))) == 1.0
+
+
+@pytest.mark.parametrize("n,L,d", [(2, 9, 1.9), (3, 6, 2.5), (1, 12, 0.5), (2, 0, 1.0)])
+def test_frostman_matches_two_refine_descent(n, L, d):
+    # the mass-per-cost product formed at the parent level, refined once
+    cfg = LatticeConfig(n, L, d)
+    E = GridFunction(cfg, (np.random.default_rng(2026).random(cfg.num_cells) < 0.3).astype(float))
+    if not E.values.any():
+        E = GridFunction.constant(cfg, 1.0)
+    assert np.array_equal(frostman_measure(E).values, two_refine_frostman_measure(E).values)
+
+
+@oracle_settings
+@given(lattice_functions(kinds=("indicator",)))
+def test_frostman_matches_two_refine_descent_small(E):
+    if E.values.any():
+        assert np.array_equal(frostman_measure(E).values, two_refine_frostman_measure(E).values)
 
 
 def test_frostman_duality_and_constraints(rng):

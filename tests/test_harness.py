@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choquet.harness import SUITES, Suite, UnknownSuiteError, random_instance, run_suite
+from choquet.harness import SUITES, Suite, UnknownSuiteError, _ratio, _ratios, random_instance, run_suite
 from choquet.lattice import LatticeConfig, validate_tiling
 
 SMALL = dict(trials=10, L=3, seed=17, n=1, d=0.5)
@@ -153,3 +153,11 @@ def test_recorded_suites_have_no_bound():
         assert r.bound is None
         assert np.isfinite(r.worst_ratio)
         assert r.empirical_constant is not None
+
+
+def test_ratios_is_ratio_elementwise():
+    num = np.array([0.0, -1.0, 2.0, 3.0, 0.0, np.nan, -0.0])
+    den = np.array([0.0, 0.0, 0.0, 4.0, 5.0, 0.0, 0.0])
+    got = _ratios(num, den)
+    want = [_ratio(float(a), float(b)) for a, b in zip(num, den)]
+    assert got.tobytes() == np.array(want).tobytes()

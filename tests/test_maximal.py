@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from choquet import maximal
 from choquet.content import frostman_measure
 from choquet.lattice import (
     CubeId,
@@ -12,7 +17,20 @@ from choquet.lattice import (
     measure_of_cube,
 )
 from choquet.maximal import fractional_measure_maximal, hl_maximal, orlicz_fractional_maximal
-from choquet.young import Identity, LlogL, luxemburg_norm
+from choquet.young import Identity, LlogL, Power, luxemburg_norm
+
+from conftest import leaf_sweep
+
+oracle_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# The three operators (Orlicz with two Young functions), each a function
+# of one nonnegative leaf function.
+MAXIMAL_OPS = {
+    "hl": hl_maximal,
+    "M_d": fractional_measure_maximal,
+    "orlicz_identity": lambda f: orlicz_fractional_maximal(f, f.config.n - f.config.d, Identity()),
+    "orlicz_power2": lambda f: orlicz_fractional_maximal(f, f.config.n - f.config.d, Power(2.0)),
+}
 
 
 def brute_hl(f):
@@ -145,3 +163,65 @@ def test_maximal_homogeneity(rng):
     mo_f = orlicz_fractional_maximal(f, 0.5, LlogL()).values.values
     mo_g = orlicz_fractional_maximal(g, 0.5, LlogL()).values.values
     assert np.allclose(mo_g, 4.0 * mo_f, rtol=1e-7)
+
+
+def assert_sweeps_match_leaf_sweep(f):
+    """Each operator against the same statistics swept on the leaf grid:
+    `==` values, the same argmax levels, and no memory shared with f."""
+    for name, op in MAXIMAL_OPS.items():
+        got = op(f)
+        with mock.patch.object(maximal, "_sweep", leaf_sweep):
+            want = op(f)
+        assert np.array_equal(got.values.values, want.values.values), name
+        assert got.argmax_levels.dtype == want.argmax_levels.dtype, name
+        assert got.argmax_levels.shape == want.argmax_levels.shape == f.config.grid_shape, name
+        assert np.array_equal(got.argmax_levels, want.argmax_levels), name
+        assert not np.shares_memory(got.values.values, f.values), name
+        assert not np.shares_memory(got.argmax_levels, f.values), name
+
+
+@st.composite
+def quantised_functions(draw):
+    """Values on a few levels, zero included, so cube statistics tie
+    across levels and the tie rule decides the argmax."""
+    n = draw(st.integers(1, 3))
+    cfg = LatticeConfig(n, draw(st.integers(0, 5)), n / 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = draw(st.integers(1, 8))
+    return GridFunction(cfg, np.floor(rng.random(cfg.num_cells) * steps) / steps)
+
+
+@oracle_settings
+@given(quantised_functions())
+def test_sweeps_match_leaf_sweep_with_ties(f):
+    assert_sweeps_match_leaf_sweep(f)
+
+
+def test_tie_keeps_larger_cube():
+    # a constant's statistics tie at every level for hl and Identity
+    f = GridFunction.constant(LatticeConfig(2, 3, 1.0), 0.5)
+    assert np.all(hl_maximal(f).argmax_levels == 0)
+    assert np.all(orlicz_fractional_maximal(f, 1.0, Identity()).argmax_levels == 0)
+    assert_sweeps_match_leaf_sweep(f)
+
+
+@pytest.mark.parametrize("n,L,d", [(2, 9, 1.9), (3, 6, 2.5)])
+@pytest.mark.parametrize("steps", [None, 16])
+def test_sweeps_match_leaf_sweep_large(n, L, d, steps):
+    cfg = LatticeConfig(n, L, d)
+    vals = np.random.default_rng(2026).random(cfg.num_cells)
+    if steps:
+        vals = np.floor(vals * steps) / steps
+    assert_sweeps_match_leaf_sweep(GridFunction(cfg, vals))
+
+
+@pytest.mark.parametrize("n,L", [(1, 0), (2, 0), (3, 0), (2, 3)])
+def test_sweep_shares_no_memory_with_statistics(n, L):
+    cfg = LatticeConfig(n, L, n / 2)
+    stats = [np.full((2**k,) * n, 1.0) for k in range(L + 1)]
+    res = maximal._sweep(cfg, stats)
+    for s in stats:
+        assert not np.shares_memory(res.values.values, s)
+        assert not np.shares_memory(res.argmax_levels, s)
+    assert res.argmax_levels.dtype == int and res.argmax_levels.shape == cfg.grid_shape
+    assert np.all(res.argmax_levels == 0) and np.all(res.values.values == 1.0)

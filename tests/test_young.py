@@ -23,6 +23,7 @@ from choquet.young import (
     _luxemburg_rows,
     luxemburg_norm,
     luxemburg_norm_table,
+    NumericConjugate,
     numeric_conjugate,
     phi_average,
     young_equality_residual,
@@ -142,6 +143,25 @@ def test_numeric_conjugate_argument_does_not_depend_on_batch(rng):
         for t, v, d in zip(ts, value, slope):
             alone = numeric_conjugate(phi)
             assert (alone(t), alone.deriv(t)) == (v, d)
+
+
+@pytest.mark.parametrize("memo_size", [NumericConjugate._MEMO_SIZE, 40])
+def test_numeric_conjugate_memo_does_not_change_answers(rng, memo_size):
+    # memo hits in part, in whole or not at all, and a memo that overflows
+    # and starts again, give the answers of fresh instances
+    ts = np.concatenate([rng.random(60) * 3.0, [0.0, 0.0, 2.5]])
+    conj = numeric_conjugate(LlogL())
+    conj._MEMO_SIZE = memo_size
+    conj(ts[:30])
+    partial = conj(ts), conj.deriv(ts)
+    conj(ts[30:] + 1.0)
+    shuffled = conj(ts[::-1])[::-1], conj.deriv(ts[::-1])[::-1]
+    want = numeric_conjugate(LlogL())(ts), numeric_conjugate(LlogL()).deriv(ts)
+    for got in (partial, shuffled):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert conj(np.zeros((2, 0))).shape == (2, 0) and np.array_equal(conj(ts), want[0])
+    keys = conj._memo[0]
+    assert keys.size <= max(memo_size, 64) and np.all(np.diff(keys) > 0)
 
 
 @pytest.mark.parametrize("phi", [LlogL(), ExpM1(), Power(2.0), Power(1.3)], ids=lambda p: p.name)
