@@ -1,7 +1,9 @@
 """Command-line front end.
 
 One fixed (n, L, d) context per invocation.  Exit codes: 0 success or
-suite pass, 1 suite fail, 2 usage or IO error.
+suite pass, 1 suite fail, 2 usage or IO error.  Every usage or IO error is
+raised as a ValueError, and `main` alone turns it into one "error:" line
+on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import sys
 
 from .content import choquet_norm, frostman_measure, hausdorff_content
-from .harness import SUITES, UnknownSuiteError, run_suite
+from .harness import SUITES, run_suite
 from .lattice import CubeId, GridFunction, LatticeConfig, Tiling
 from .maximal import fractional_measure_maximal, hl_maximal, orlicz_fractional_maximal
 from .sparse import (
@@ -47,19 +49,14 @@ def _load_grid(path: str, args) -> GridFunction:
             return GridFunction.from_csv(path, LatticeConfig(args.n, args.L, args.d))
         with open(path) as fh:
             f = GridFunction.from_json(fh.read())
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise SystemExit(_io_error(f"cannot read grid function from {path}: {exc}"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read grid function from {path}: {exc}")
     # A JSON file carries its own lattice; a flag may only repeat it.
     for flag in ("n", "L", "d"):
         given, stored = getattr(args, flag), getattr(f.config, flag)
         if given is not None and given != stored:
             raise ValueError(f"--{flag} {given} does not match {flag}={stored} in {path}")
     return f
-
-
-def _io_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _parse_cubes(text: str) -> list[CubeId]:
@@ -141,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config(args) -> LatticeConfig:
     if args.n is not None and args.L is not None and args.d is not None:
         return LatticeConfig(args.n, args.L, args.d)
-    raise SystemExit(_io_error("this command needs --n, --L and --d"))
+    raise ValueError("this command needs --n, --L and --d")
 
 
 def _write_grid(args, g: GridFunction) -> None:
@@ -153,7 +150,7 @@ def _write_grid(args, g: GridFunction) -> None:
                 with open(args.output, "w") as fh:
                     fh.write(g.to_json())
         except OSError as exc:
-            raise SystemExit(_io_error(f"cannot write grid function to {args.output}: {exc}"))
+            raise ValueError(f"cannot write grid function to {args.output}: {exc}")
     else:
         print(g.to_json())
 
@@ -173,10 +170,9 @@ def main(argv=None) -> int:
         # does not raise again, and exit 1 as Python does on EPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (ValueError, UnknownSuiteError) as exc:
-        return _io_error(str(exc))
+    except ValueError as exc:  # every usage and IO error, UnknownSuiteError included
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return code
 
 
@@ -214,7 +210,7 @@ def _dispatch(args) -> int:
             res = fractional_measure_maximal(f)
         else:
             if args.phi is None:
-                return _io_error("orlicz maximal needs --phi")
+                raise ValueError("orlicz maximal needs --phi")
             alpha = args.alpha if args.alpha is not None else f.config.n - f.config.d
             res = orlicz_fractional_maximal(f, alpha, by_name(args.phi))
         _write_grid(args, res.values)
@@ -247,14 +243,14 @@ def _dispatch(args) -> int:
             })
             return 0
         if args.input is None:
-            return _io_error("sparse apply needs -i")
+            raise ValueError("sparse apply needs -i")
         f = _load_grid(args.input, args)
         _write_grid(args, apply_sparse(f, fam))
         return 0
 
     if cmd == "cantor":
         if args.n is None:
-            return _io_error("cantor commands need --n")
+            raise ValueError("cantor commands need --n")
         c = CantorConfig(args.n, args.m, args.depth)
         L = args.L if args.L is not None else c.m * c.K
         if args.action == "family":
@@ -271,13 +267,11 @@ def _dispatch(args) -> int:
                 print(f"{depth},{fmt(norm)}")
         return 0
 
-    if cmd == "verify":
-        config = _config(args)
-        report = run_suite(args.suite, args.trials, config.L, args.seed, n=config.n, d=config.d)
-        print(report.to_json())
-        return 0 if report.passed else 1
-
-    return _io_error(f"unknown command {cmd!r}")
+    # verify: argparse admits no other command
+    config = _config(args)
+    report = run_suite(args.suite, args.trials, config.L, args.seed, n=config.n, d=config.d)
+    print(report.to_json())
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

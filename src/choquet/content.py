@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction, LatticeConfig, coarsen, pyramid, refine
+from .lattice import CubeId, GridFunction, LatticeConfig, coarsen, refine
 
 __all__ = [
     "ContentResult",
@@ -70,24 +70,19 @@ class ContentResult:
 
 
 def _cost_tables(config: LatticeConfig, occ_grid: np.ndarray):
-    """DP cost per cube at every level, plus the cube-vs-children choice.
-
-    Returns (costs, take_cube) where costs[k] and take_cube[k] are arrays
-    shaped (2^k,)*n.  take_cube[k] marks occupied cubes where paying
-    side^d is no worse than delegating to children.
-    """
+    """(costs, child): every level's DP costs and children's totals, shaped
+    (2^k,)*n.  A leaf costs side^d if occupied, else 0; above, child[k] is
+    `coarsen(costs[k + 1])` and costs[k] is min(side^d, child[k]).  An empty
+    cube's children total exactly 0, so a cube is occupied iff its cost is
+    positive.  child[L] is None."""
     L, d = config.L, config.d
-    occ = pyramid(occ_grid.astype(bool), np.logical_or)
     costs = [None] * (L + 1)
-    take = [None] * (L + 1)
-    costs[L] = np.where(occ[L], 2.0 ** (-L * d), 0.0)
-    take[L] = occ[L]
+    child = [None] * (L + 1)
+    costs[L] = np.where(occ_grid, 2.0 ** (-L * d), 0.0)
     for k in range(L - 1, -1, -1):
-        child_sum = coarsen(costs[k + 1])
-        cube_cost = 2.0 ** (-k * d)
-        take[k] = occ[k] & (cube_cost <= child_sum + _TIE_TOL)
-        costs[k] = np.where(occ[k], np.minimum(cube_cost, child_sum), 0.0)
-    return costs, take
+        child[k] = coarsen(costs[k + 1])
+        costs[k] = np.minimum(2.0 ** (-k * d), child[k])
+    return costs, child
 
 
 def _as_occupancy(E: GridFunction) -> np.ndarray:
@@ -105,15 +100,21 @@ def hausdorff_content_value(config: LatticeConfig, occ_grid: np.ndarray) -> floa
 def hausdorff_content(E: GridFunction) -> ContentResult:
     """Exact minimum of sum(side^d) over coverings of E by lattice cubes."""
     config = E.config
-    costs, take = _cost_tables(config, _as_occupancy(E))
+    L, d = config.L, config.d
+    costs, child = _cost_tables(config, _as_occupancy(E))
 
-    # The cover is every taken cube with no taken ancestor.
+    # The DP takes an occupied cube whose side^d is no more than its
+    # children's total (ties go to the cube); the cover is every taken
+    # cube with no taken ancestor.
     cover = []
     blocked = np.zeros((1,) * config.n, dtype=bool)
-    for k in range(config.L + 1):
+    for k in range(L + 1):
         if k:
             blocked = refine(blocked, 2)
-        sel = take[k] & ~blocked
+        take = costs[k] > 0.0
+        if k < L:
+            take &= 2.0 ** (-k * d) <= child[k] + _TIE_TOL
+        sel = take & ~blocked
         rows = np.argwhere(sel)
         rows.flags.writeable = False
         cover.append(rows)
@@ -128,14 +129,13 @@ def frostman_measure(E: GridFunction) -> GridFunction:
     occ = _as_occupancy(E)
     if not occ.any():
         raise ValueError("cannot build a Frostman measure on the empty set")
-    costs, _ = _cost_tables(config, occ)
+    costs, child = _cost_tables(config, occ)
 
     mass = costs[0].copy()  # level-0 mass: the content itself
     for k in range(config.L):
         # mass per unit child cost, formed at the parent level and refined
         # once: the same product per child as refining both factors
-        total = coarsen(costs[k + 1])
-        scale = np.where(total > 0.0, 1.0 / np.where(total > 0.0, total, 1.0), 0.0)
+        scale = np.divide(1.0, child[k], out=np.zeros_like(child[k]), where=child[k] > 0.0)
         mass = refine(mass * scale, 2) * costs[k + 1]
     density = mass / config.cell_volume
     return GridFunction(config, density.reshape(-1))

@@ -58,8 +58,9 @@ _MAX_NL = 24  # largest n*L: 2^24 leaf cells, 128 MB per float64 grid
 class LatticeConfig:
     """Fixed lattice context: dimension n, max level L, content exponent d.
 
-    n*L may be at most 24: the 2^(nL) leaf cells of a larger lattice do not
-    fit a float64 grid in memory."""
+    n and n*L may be at most 24: the 2^(nL) leaf cells of a larger lattice
+    do not fit a float64 grid in memory, and n is the grid's number of axes
+    whatever L is (numpy takes at most 64)."""
 
     n: int
     L: int
@@ -68,6 +69,8 @@ class LatticeConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension n must be positive, got {self.n}")
+        if self.n > _MAX_NL:
+            raise ValueError(f"dimension n must be at most {_MAX_NL}, got {self.n}")
         if self.L < 0:
             raise ValueError(f"resolution level L must be >= 0, got {self.L}")
         if self.n * self.L > _MAX_NL:
@@ -102,7 +105,7 @@ class CubeId:
             raise ValueError(f"cube level must be >= 0, got {self.level}")
         object.__setattr__(self, "index", tuple(int(j) for j in self.index))
         for j in self.index:
-            if not 0 <= j < 2**self.level:
+            if j < 0 or j >> self.level:  # j >= 2^level, without building 2^level
                 raise ValueError(f"cube index {self.index} out of range at level {self.level}")
 
     @property
@@ -285,7 +288,10 @@ class GridFunction:
         """A JSON object with integer n and L, a number d and a flat list of
         numbers as values; anything else is a ValueError naming the field.
         JSON true/false are not numbers here, though Python's bool is an int."""
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object with n, L, d and values, got a JSON {type(obj).__name__}")
         for field in ("n", "L", "d", "values"):
@@ -299,7 +305,10 @@ class GridFunction:
         values = obj["values"]
         if type(values) is not list or not set(map(type, values)) <= {int, float}:
             raise ValueError("values must be a flat JSON list of numbers")
-        return cls(LatticeConfig(obj["n"], obj["L"], float(obj["d"])), values)
+        try:
+            return cls(LatticeConfig(obj["n"], obj["L"], float(obj["d"])), values)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError("d and values must be within the float range") from None
 
     def to_csv(self, path) -> None:
         """CSV alternative: one leaf value per row, row-major leaf order."""
@@ -314,14 +323,18 @@ class GridFunction:
         naming the 1-based row."""
         vals = []
         with open(path, newline="") as fh:
-            for i, row in enumerate(csv.reader(fh), 1):
-                if not row:
-                    continue
-                try:
-                    (v,) = row
-                    vals.append(float(v))
-                except ValueError:
-                    raise ValueError(f"row {i}: expected one number, got {','.join(row)!r}") from None
+            reader = csv.reader(fh)
+            try:
+                for i, row in enumerate(reader, 1):
+                    if not row:
+                        continue
+                    try:
+                        (v,) = row
+                        vals.append(float(v))
+                    except ValueError:
+                        raise ValueError(f"row {i}: expected one number, got {','.join(row)!r}") from None
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise ValueError(f"row {reader.line_num}: {exc}") from None
         return cls(config, vals)
 
 

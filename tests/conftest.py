@@ -7,6 +7,7 @@ usable at tiny resolutions.  The Hypothesis strategies at the end draw
 the small lattices, tilings and cube families those oracles run on.
 """
 
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -133,22 +134,38 @@ def two_refine_frostman_measure(E: GridFunction) -> GridFunction:
 
 
 def stack_walk_cover(config: LatticeConfig, occ: np.ndarray) -> frozenset:
-    """Optimal cover by a depth-first walk from the root: take a cube when
-    the DP takes it, otherwise descend into its occupied children."""
-    if not occ.any():
-        return frozenset()
-    costs, take = _cost_tables(config, occ)
+    """Optimal cover by a depth-first walk from the root: take an occupied
+    leaf, or an occupied cube whose side^d is at most its children's total
+    cost plus 1e-12; otherwise descend into its children.  Each cube's cost,
+    min(side^d, children's total), comes from its own memoised recursion,
+    with the children added axis 0 first as `coarsen` adds them."""
+    n, L, d = config.n, config.L, config.d
+    corners = list(np.ndindex(*(2,) * n))
+
+    @cache
+    def child_total(k, idx):
+        terms = [cost(k + 1, tuple(2 * j + c for j, c in zip(idx, corner))) for corner in corners]
+        for _ in range(n):  # C order: the first half has axis-0 digit 0
+            half = len(terms) // 2
+            terms = [a + b for a, b in zip(terms[:half], terms[half:])]
+        return terms[0]
+
+    @cache
+    def cost(k, idx):
+        if k == L:
+            return 2.0 ** (-L * d) if occ[idx] else 0.0
+        return min(2.0 ** (-k * d), child_total(k, idx))
+
     cover = []
-    stack = [CubeId(0, (0,) * config.n)]
+    stack = [(0, (0,) * n)]
     while stack:
-        q = stack.pop()
-        if costs[q.level][q.index] == 0.0:
+        k, idx = stack.pop()
+        if cost(k, idx) == 0.0:
             continue
-        if take[q.level][q.index]:
-            cover.append(q)
+        if k == L or 2.0 ** (-k * d) <= child_total(k, idx) + 1e-12:
+            cover.append(CubeId(k, idx))
         else:
-            for corner in np.ndindex(*(2,) * config.n):
-                stack.append(CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner))))
+            stack.extend((k + 1, tuple(2 * j + c for j, c in zip(idx, corner))) for corner in corners)
     return frozenset(cover)
 
 

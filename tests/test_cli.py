@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -381,15 +382,103 @@ def test_csv_rows_match_json(capsys, set_file_2d, args):
         assert parsed[key] == (value if isinstance(value, list) else [str(value)])
 
 
-def test_closed_stdout_exits_without_traceback(set_file_2d):
-    # the cover is about 230 KB, more than a pipe buffer holds
+def _cli_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_exits_without_traceback(set_file_2d):
+    # the cover is about 230 KB, more than a pipe buffer holds
     with subprocess.Popen([sys.executable, "-m", "choquet.cli", "content", "-i", str(set_file_2d)],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()) as proc:
         assert len(proc.stdout.read(60)) == 60
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err
+
+
+def _cli_subprocess(*args):
+    proc = subprocess.run([sys.executable, "-m", "choquet.cli", *map(str, args)],
+                          capture_output=True, text=True, env=_cli_env(), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# Inputs that once escaped as a traceback (exit 1) or a numpy message:
+# name -> (file name, file text, arguments with "{file}" for the file).
+INPUT_PROBES = {
+    "csv_field_over_limit": ("f.csv", "1" * 131073 + "\n",
+                             ["--n", "1", "--L", "0", "--d", "0.5", "choquet", "-i", "{file}", "--p", "1"]),
+    "json_nested_too_deeply": ("f.json", "[" * 200000 + "]" * 200000, ["choquet", "-i", "{file}", "--p", "1"]),
+    "n_overflows_at_L0": ("f.json", '{"n": %d, "L": 0, "d": 0.5, "values": [1]}' % 10**30,
+                          ["choquet", "-i", "{file}", "--p", "1"]),
+    "n_over_numpy_axes_at_L0": ("f.json", '{"n": 100, "L": 0, "d": 0.5, "values": [1]}',
+                                ["choquet", "-i", "{file}", "--p", "1"]),
+    "cube_level_10_billion": ("f.json", GridFunction(LatticeConfig(1, 2, 0.5), [1, 0, 1, 0]).to_json(),
+                              ["luxemburg", "-i", "{file}", "--cube", "10000000000:0", "--phi", "power:2"]),
+}
+
+
+@pytest.mark.parametrize("in_process", [True, False], ids=["main", "python_m"])
+@pytest.mark.parametrize("name", sorted(INPUT_PROBES))
+def test_input_probe_is_one_error_line(capsys, tmp_path, name, in_process):
+    filename, text, args = INPUT_PROBES[name]
+    path = tmp_path / filename
+    path.write_text(text)
+    args = [path if a == "{file}" else a for a in args]
+    code, out, err = run(capsys, *args) if in_process else _cli_subprocess(*args)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _run_quietly(capsys, *args):
+    """`run`, with every warning recorded instead of raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *args)
+    return code, out, err, [str(w.message) for w in caught]
+
+
+def _magnitude_file(tmp_path, values):
+    path = tmp_path / "f.json"
+    path.write_text(GridFunction(LatticeConfig(1, 2, 0.5), values).to_json())
+    return path
+
+
+# Powers or sums of these finite inputs leave the float64 range.  Each
+# command should print the true value (the homogeneous value on the unit
+# input, times the scale) without a warning; they do not yet.
+@pytest.mark.xfail(strict=True, reason="powers underflow to 0: a silent wrong number")
+@pytest.mark.parametrize("args", [["choquet", "--p", "2"], ["norm", "--space", "morrey", "--p", "2"]],
+                         ids=["choquet", "morrey"])
+def test_tiny_values_keep_their_norm(capsys, tmp_path, args):
+    _, unit, _, _ = _run_quietly(capsys, *args, "-i", _magnitude_file(tmp_path, [1, 0, 1, 0]))
+    code, out, err, caught = _run_quietly(capsys, *args, "-i", _magnitude_file(tmp_path, [1e-200, 0, 1e-200, 0]))
+    assert (code, caught) == (0, [])
+    assert float(out) == pytest.approx(1e-200 * float(unit), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="sums overflow: a warning, then 'leaf values must be finite'")
+@pytest.mark.parametrize("args", [["maximal", "hl"], ["sparse", "apply", "--cubes", "0:0"],
+                                  ["norm", "--space", "morrey", "--p", "2"]],
+                         ids=["maximal_hl", "sparse_apply", "morrey"])
+def test_huge_values_keep_their_norm(capsys, tmp_path, args):
+    _, unit, _, _ = _run_quietly(capsys, *args, "-i", _magnitude_file(tmp_path, [1.0] * 4))
+    code, out, err, caught = _run_quietly(capsys, *args, "-i", _magnitude_file(tmp_path, [1.7e308] * 4))
+    assert (code, caught) == (0, [])
+    got = GridFunction.from_json(out).values if out.startswith("{") else np.array([float(out)])
+    want = GridFunction.from_json(unit).values if unit.startswith("{") else np.array([float(unit)])
+    assert np.allclose(got, 1.7e308 * want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="prints inf and exits 0")
+def test_luxemburg_beyond_float_range_is_usage_error(capsys, tmp_path):
+    # the llogl average of the constant 1.7e308 is 1.7e308 * 1.2568 > 1.8e308
+    code, out, err, caught = _run_quietly(capsys, "luxemburg", "--phi", "llogl", "--cube", "0:0",
+                                          "-i", _magnitude_file(tmp_path, [1.7e308] * 4))
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: ")

@@ -142,6 +142,36 @@ def test_content_monotone_and_subadditive(rng):
         assert hab <= ha + hb + 1e-12
 
 
+@oracle_settings
+@given(lattice_functions(kinds=("indicator",)))
+@example(GridFunction(LatticeConfig(1, 2, 0.5), [1.0, 0.0, 1.0, 0.0]))
+@example(GridFunction.constant(LatticeConfig(3, 2, 1.0), 1.0))
+def test_content_is_choquet_integral_of_indicator(E):
+    # one recurrence in two kernels: absent children read 0, children add
+    # axis 0 first, and min(side^d, total) at every level
+    value = hausdorff_content(E).value
+    assert choquet_integral(E) == value == hausdorff_content_value(E.config, E.grid > 0.5)
+
+
+@pytest.mark.parametrize("n,L", [(2, 9), (3, 6)])
+@pytest.mark.parametrize("share", [0.05, 0.3, 0.9])
+def test_content_is_choquet_integral_of_indicator_large(n, L, share):
+    rng = np.random.default_rng(2026)
+    for d in (0.3 * n, n / 3, 0.9 * n):
+        E = GridFunction(LatticeConfig(n, L, d), (rng.random(2 ** (n * L)) < share).astype(float))
+        assert choquet_integral(E) == hausdorff_content(E).value
+
+
+@oracle_settings
+@given(lattice_functions(kinds=("indicator",)), st.integers(0, 2**32 - 1))
+def test_content_strongly_subadditive(A, seed):
+    # H(A u B) + H(A n B) <= H(A) + H(B): the content is 2-alternating
+    cfg = A.config
+    a, b = A.grid > 0.5, random_leaf_mask(cfg, np.random.default_rng(seed))
+    h = lambda m: hausdorff_content_value(cfg, m)  # noqa: E731
+    assert h(a | b) + h(a & b) <= (h(a) + h(b)) * (1.0 + 1e-12)
+
+
 def test_content_values_batch_matches_scalar(rng):
     cfg = LatticeConfig(1, 4, 0.5)
     masks = np.stack([random_leaf_mask(cfg, rng) for _ in range(16)])

@@ -117,6 +117,23 @@ def test_config_caps_cell_count():
     assert LatticeConfig(3, 8, 1.5).num_cells == 2**24
 
 
+@pytest.mark.parametrize("n", [100, 10**30])
+def test_config_caps_dimension_at_any_level(n):
+    # at L = 0, n*L is 0: n = 10**30 once overflowed and n = 100 hit numpy's axis limit
+    with pytest.raises(ValueError, match="dimension n must be at most 24"):
+        LatticeConfig(n, 0, 0.5)
+
+
+def test_cube_id_range_check_does_not_build_two_to_the_level():
+    # 2**level at this level is a 125 MB integer and takes seconds to build
+    q = CubeId.parse("1000000000:5")
+    assert q.level == 10**9 and q.index == (5,)
+    with pytest.raises(ValueError, match="malformed"):
+        CubeId.parse("1000000000:-1")
+    with pytest.raises(ValueError, match="out of range"):
+        CubeId(3, (0, 8))
+
+
 def test_cube_id_roundtrip():
     q = CubeId(2, (3, 1))
     assert str(q) == "2:3,1"
@@ -186,6 +203,25 @@ def test_from_json_schema_names_the_field(name):
     text, message = MALFORMED_GRID_FILES[name]
     with pytest.raises(ValueError, match=f"^{message}"):
         GridFunction.from_json(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 200000 + "]" * 200000, "JSON nested too deeply"),
+    ('{"n": 1, "L": 1, "d": %d, "values": [1, 0]}' % 10**400, "within the float range"),
+    ('{"n": 1, "L": 1, "d": 0.5, "values": [%d, 0]}' % 10**400, "within the float range"),
+], ids=["deep", "huge_int_d", "huge_int_value"])
+def test_from_json_beyond_the_parser_or_float_range(text, message):
+    # RecursionError and OverflowError escaped before
+    with pytest.raises(ValueError, match=message):
+        GridFunction.from_json(text)
+
+
+def test_from_csv_field_over_the_csv_limit_names_the_row(tmp_path):
+    # csv.Error escaped before; the limit is csv.field_size_limit(), 131072
+    path = tmp_path / "f.csv"
+    path.write_text("1\n0\n" + "1" * 131073 + "\n0\n")
+    with pytest.raises(ValueError, match="^row 3: field larger than field limit"):
+        GridFunction.from_csv(path, LatticeConfig(1, 2, 0.5))
 
 
 def test_from_json_accepts_integer_values_and_d():
