@@ -22,6 +22,10 @@ distinct values inside each, up to N*(L+1) for N leaf cells; pruned,
 continuous values at n=2, L=9 or n=3, L=6 take about a tenth of a second.
 The costs are bit-identical to one full-lattice DP per level set.
 
+Every Choquet functional reads the merge's root output, the level-set
+profile (t_i, H^d({f >= t_i})); `choquet_norm` scales the levels exactly,
+by a power of two, so it builds no |f|^p grid and no power overflows.
+
 The Frostman measure realizes the dual packing side: mass H^d(E) enters at
 the root and splits among occupied children proportionally to their DP
 costs, which keeps mu(Q) <= side(Q)^d on every lattice cube.
@@ -149,9 +153,9 @@ def _morton_order(grid: np.ndarray, L: int) -> np.ndarray:
     return bits.transpose([a * L + b for b in range(L) for a in range(n)]).reshape(-1)
 
 
-def choquet_integral(f: GridFunction) -> float:
-    """Layer-cake integral of f >= 0 against the content: the exact sum of
-    (t_i - t_{i-1}) * H^d({f >= t_i}) over the distinct positive values.
+def _level_contents(config: LatticeConfig, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, contents) of a leaf grid f >= 0: its distinct positive
+    values t_i, ascending, and the content H^d({f >= t_i}) of each.
 
     Every cube Q keeps one entry per distinct value t inside it, holding
     the DP cost of {f >= t} on Q.  A parent merges its children's entries
@@ -161,14 +165,10 @@ def choquet_integral(f: GridFunction) -> float:
     never fall down the list, so theirs is that same float, and the
     latest-entry rule reads it from the kept one.  The root's kept entries
     stand for every rank up to the next one kept."""
-    if not f.is_nonnegative():
-        raise ValueError("Choquet integral requires f >= 0")
-    n, L, d = f.config.n, f.config.L, f.config.d
-    leaves = _morton_order(f.grid, L)
+    n, L, d = config.n, config.L, config.d
+    leaves = _morton_order(grid, L)
     cube = np.flatnonzero(leaves > 0.0)
     levels, inverse = np.unique(leaves[cube], return_inverse=True)
-    if levels.size == 0:
-        return 0.0
     # An entry's key packs (cube, rank), rank 0 for the largest value, so
     # keys sort by cube and then by descending value.
     V = levels.size
@@ -185,7 +185,7 @@ def choquet_integral(f: GridFunction) -> float:
         order = np.argsort(key, kind="stable")
         key = key[order]
         new = np.empty(key.size, dtype=bool)
-        new[0] = True
+        new[:1] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
         start = np.flatnonzero(new)
         key = key[start]
@@ -194,7 +194,7 @@ def choquet_integral(f: GridFunction) -> float:
         # into [0, cost_0, 0, cost_1, ...]; a forward fill from 2 * (the
         # parent's first index), which reads 0 while c has no entry yet.
         first = np.empty(key.size, dtype=bool)
-        first[0] = True
+        first[:1] = True
         np.not_equal(parent[1:], parent[:-1], out=first[1:])
         latest = np.empty((2**n, key.size), dtype=start.dtype)
         latest[:] = 2 * np.maximum.accumulate(np.where(first, start, 0))
@@ -219,16 +219,26 @@ def choquet_integral(f: GridFunction) -> float:
     # value, these are the contents of the level sets.
     kept = np.zeros(V, dtype=np.intp)
     kept[key[1:]] = 1
-    contents = cost[np.cumsum(kept)][::-1]
-    steps = np.diff(levels, prepend=0.0)
-    return float((steps * contents).sum())
+    return levels, cost[np.cumsum(kept)][::-1]
+
+
+def choquet_integral(f: GridFunction) -> float:
+    """Layer-cake integral of f >= 0 against the content: the exact sum of
+    (t_i - t_{i-1}) * H^d({f >= t_i}) over the distinct positive values."""
+    if not f.is_nonnegative():
+        raise ValueError("Choquet integral requires f >= 0")
+    levels, contents = _level_contents(f.config, f.grid)
+    return float((np.diff(levels, prepend=0.0) * contents).sum())
 
 
 def choquet_norm(f: GridFunction, p: float) -> float:
-    """The L^p(H^d) functional; p = inf gives the essential sup (max leaf)."""
+    """The L^p(H^d) functional from the level-set profile of |f|, scaled
+    exactly by a power of two; p = inf gives the essential sup (max leaf)."""
     if not p > 0:  # false for NaN as well
         raise ValueError(f"exponent must satisfy p > 0, got {p}")
     if np.isinf(p):
         return float(np.abs(f.values).max())
-    absf = GridFunction(f.config, np.abs(f.values) ** p)
-    return choquet_integral(absf) ** (1.0 / p)
+    levels, contents = _level_contents(f.config, np.abs(f.grid))
+    e = np.frexp(levels.max(initial=0.0))[1]
+    steps = np.diff(np.ldexp(levels, -e) ** p, prepend=0.0)
+    return float(np.ldexp((steps * contents).sum() ** (1.0 / p), e))

@@ -230,11 +230,27 @@ def pyramid(grid: np.ndarray, op=np.add) -> list[np.ndarray]:
     return levels[::-1]
 
 
+def _mean_pyramid(grid: np.ndarray) -> list[np.ndarray]:
+    """Every cube's mean of the leaf values inside it, one array per level
+    shaped (2^k,)*n, coarsest first.  Each level is the `coarsen` sum of
+    the finer level's means times 2^-n: the values are scaled before they
+    are added, so no partial sum leaves the float range, and wherever the
+    sums stay normal each mean is `==` to its `pyramid` sum over its cell
+    count, since scaling by a power of two is exact."""
+    levels = [grid]
+    while levels[-1].shape[0] > 1:
+        levels.append(coarsen(levels[-1] * 0.5**grid.ndim))
+    return levels[::-1]
+
+
 class GridFunction:
     """A step function constant on the 2^(nL) leaf cells of the root cube."""
 
     def __init__(self, config: LatticeConfig, values):
-        values = np.asarray(values, dtype=float).reshape(-1)
+        try:
+            values = np.asarray(values, dtype=float).reshape(-1)
+        except OverflowError:  # a Python int beyond the float range
+            raise ValueError("leaf values must be within the float range") from None
         if values.size != config.num_cells:
             raise ValueError(f"expected {config.num_cells} leaf values, got {values.size}")
         if not np.isfinite(values).all():
@@ -307,8 +323,8 @@ class GridFunction:
             raise ValueError("values must be a flat JSON list of numbers")
         try:
             return cls(LatticeConfig(obj["n"], obj["L"], float(obj["d"])), values)
-        except OverflowError:  # a JSON integer beyond the float range
-            raise ValueError("d and values must be within the float range") from None
+        except OverflowError:  # a JSON integer d beyond the float range
+            raise ValueError("d must be within the float range") from None
 
     def to_csv(self, path) -> None:
         """CSV alternative: one leaf value per row, row-major leaf order."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction, LatticeConfig, pyramid, refine
+from .lattice import CubeId, GridFunction, LatticeConfig, _mean_pyramid, refine
 from .young import YoungFunction, luxemburg_norm_table
 
 __all__ = [
@@ -64,9 +64,7 @@ def _sweep(config: LatticeConfig, level_stats: list[np.ndarray]) -> MaximalResul
 def hl_maximal(f: GridFunction) -> MaximalResult:
     """Dyadic Hardy-Littlewood maximal function: per leaf, the largest
     average of |f| over the ancestor cubes."""
-    config = f.config
-    stats = [sums / 2 ** ((config.L - k) * config.n) for k, sums in enumerate(pyramid(np.abs(f.grid)))]
-    return _sweep(config, stats)
+    return _sweep(f.config, _mean_pyramid(np.abs(f.grid)))
 
 
 def fractional_measure_maximal(mu: GridFunction, d: float | None = None) -> MaximalResult:
@@ -77,7 +75,8 @@ def fractional_measure_maximal(mu: GridFunction, d: float | None = None) -> Maxi
     config = mu.config
     if d is None:
         d = config.d
-    stats = [sums * config.cell_volume * 2.0 ** (k * d) for k, sums in enumerate(pyramid(mu.grid))]
+    # mu(Q) is the mean times |Q| = 2^(-nk)
+    stats = [means * 2.0 ** (-config.n * k) * 2.0 ** (k * d) for k, means in enumerate(_mean_pyramid(mu.grid))]
     return _sweep(config, stats)
 
 

@@ -14,12 +14,13 @@ from itertools import product
 
 import numpy as np
 
-from .content import choquet_integral, choquet_norm, frostman_measure
+from .content import choquet_integral, choquet_norm, frostman_measure  # noqa: F401 (a perfbench tracer test patches it here)
 from .lattice import (
     CubeId,
     GridFunction,
     LatticeConfig,
     Tiling,
+    _mean_pyramid,
     children,
     cube_blocks,
     indicator,
@@ -76,37 +77,27 @@ def orlicz_morrey_norm(f: GridFunction, p: float, phi: YoungFunction) -> float:
     return choquet_norm(orlicz_fractional_maximal(f, alpha, phi).values, p)
 
 
-def _tile_profile(f: GridFunction, phi: YoungFunction, t: Tiling, term) -> np.ndarray:
-    """The leaf grid holding term(side, a) on each tile, for its side and
-    Luxemburg norm a.  `term` runs on Python floats (object arrays): numpy's
-    vectorised `**` can differ from the scalar one in the last bit."""
+def _tile_profile(f: GridFunction, phi: YoungFunction, t: Tiling, alpha: float = 0.0) -> GridFunction:
+    """The step function holding side^alpha * a on each tile, for its side
+    and Luxemburg norm a."""
     masks = _require_tiling(f.config, t)
     table = luxemburg_norm_table(f, phi)
-    per_level = [np.zeros(m.shape) for m in masks]
-    for k, (m, vals) in enumerate(zip(masks, per_level)):
-        vals[m] = term(2.0**-k, table[k][m].astype(object))
-    return paint(masks, per_level)
+    return GridFunction(f.config, paint(masks, [(2.0**-k) ** alpha * a for k, a in enumerate(table)]))
 
 
 def block_norm(f: GridFunction, p: float, phi: YoungFunction, t: Tiling) -> float:
-    """Block norm: Choquet L^1 norm of the tile-wise p-th power Luxemburg
-    profile, to the power 1/p."""
+    """Block norm: Choquet L^p norm of the tile-wise Luxemburg profile."""
     if not 1 <= p < np.inf:
         raise ValueError(f"block exponent must be finite with p >= 1, got {p}")
-    step = _tile_profile(f, phi, t, lambda side, a: a**p)
-    return choquet_integral(GridFunction(f.config, step)) ** (1.0 / p)
+    return choquet_norm(_tile_profile(f, phi, t), p)
 
 
 def tiling_orlicz_morrey_norm(g: GridFunction, pprime: float, phibar: YoungFunction, t: Tiling) -> float:
-    """Tiled Orlicz-Morrey norm: Choquet L^1 norm of the tile profile of
-    (side^(n-d) * Luxemburg norm)^p', to the power 1/p'."""
+    """Tiled Orlicz-Morrey norm: Choquet L^p' norm of the tile profile of
+    side^(n-d) * Luxemburg norm; p' = inf gives its largest tile value."""
     if not pprime >= 1:
         raise ValueError(f"exponent must satisfy p' >= 1, got {pprime}")
-    alpha = g.config.n - g.config.d
-    if np.isinf(pprime):
-        return float(_tile_profile(g, phibar, t, lambda side, a: side**alpha * a).max())
-    step = _tile_profile(g, phibar, t, lambda side, a: (side**alpha * a) ** pprime)
-    return choquet_integral(GridFunction(g.config, step)) ** (1.0 / pprime)
+    return choquet_norm(_tile_profile(g, phibar, t, g.config.n - g.config.d), pprime)
 
 
 def pairing(f: GridFunction, g: GridFunction) -> float:
@@ -178,10 +169,9 @@ def dual_witness(
     fq = np.zeros(config.grid_shape)  # 0 on the tiles where a = 0
     pos = a > 0.0
     fq[pos] = phi.deriv(np.abs(f.grid[pos]) / a[pos])
-    # per level: a^(p-1) * mu(Q)/|Q| / (1 + mean_Q Phibar(f_Q)), the means as sums / cell counts
-    cells = [2.0 ** (config.n * (config.L - k)) for k in range(config.L + 1)]
-    scale = [ak ** (p - 1.0) * (mk / c) / (1.0 + bk / c)
-             for ak, mk, bk, c in zip(norms, pyramid(mu.grid), pyramid(phibar(fq)), cells)]
+    # per level: a^(p-1) * mu(Q)/|Q| / (1 + mean_Q Phibar(f_Q))
+    scale = [ak ** (p - 1.0) * mk / (1.0 + bk)
+             for ak, mk, bk in zip(norms, _mean_pyramid(mu.grid), _mean_pyramid(phibar(fq)))]
     F = GridFunction(config, paint(masks, scale) * fq)
     # the tiles are disjoint, so F restricted to a tile is that tile's F_Q:
     # one solve over the tiles' leaf blocks, rows in (level, index) order

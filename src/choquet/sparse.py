@@ -5,8 +5,7 @@ The Cantor construction keeps the 2^n corner cubes at each stage with
 contraction tuned so that every level has content comparable to 1.  In
 snapped mode (d = n/m) the corner cubes are genuine dyadic cubes of side
 2^(-mk), the content identity is exact, and the family embeds in the
-lattice; the generic-contraction mode is supported analytically (cell
-measures and the Luxemburg majorant) but has no covering DP.
+lattice.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import choquet_norm, hausdorff_content_value
-from .lattice import CubeId, GridFunction, LatticeConfig, cube_slices, indicator, level_masks, paint, pyramid
+from .lattice import CubeId, GridFunction, LatticeConfig, _mean_pyramid, cube_slices, indicator, level_masks, paint
 from .young import ExpM1, luxemburg_norm
 
 __all__ = [
@@ -107,10 +106,13 @@ def verify_sparse(config: LatticeConfig, s: SparseFamily) -> SparseReport:
 
 
 def apply_sparse(f: GridFunction, s: SparseFamily) -> GridFunction:
-    """The sparse operator: sum over family cubes of (average of f over Q) * 1_Q."""
-    config = f.config
-    means = [sums / 2 ** (config.n * (config.L - k)) for k, sums in enumerate(pyramid(f.grid))]
-    return GridFunction(config, paint(level_masks(config, s.cubes), means))
+    """The sparse operator: sum over family cubes of (average of f over Q) * 1_Q.
+    A sum beyond the float range is a ValueError."""
+    with np.errstate(over="ignore"):
+        out = paint(level_masks(f.config, s.cubes), _mean_pyramid(f.grid))
+    if np.isinf(out).any():
+        raise ValueError("sparse image beyond the float range")
+    return GridFunction(f.config, out)
 
 
 @dataclass(frozen=True)
@@ -208,10 +210,11 @@ def cantor_lux_bound(c: CantorConfig, L: int | None = None) -> dict:
 
 
 def unboundedness_demo(c: CantorConfig, p: float, L: int | None = None) -> list[tuple[int, float]]:
-    """Choquet norms of the sparse images at depths 0..K; the p=1 value is
-    exactly depth+1 while the input's norm stays 1."""
-    if not p >= 1:  # false for NaN as well
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    """Choquet norms of the sparse images at depths 0..K, each depth+1 at
+    every p > 0 while the input's norm stays 1: every stage has content 1,
+    so the layer cake of the sum of the K+1 stage indicators is (K+1)^p."""
+    if not p > 0:  # false for NaN as well
+        raise ValueError(f"exponent must satisfy p > 0, got {p}")
     if L is None:
         L = c.m * c.K
     rows = []

@@ -422,7 +422,9 @@ def _luxemburg_rows(phi: YoungFunction, vals: np.ndarray, lens: np.ndarray | Non
     `lens`, the consecutive segments of a flat array with those lengths.
     Each row is divided by its largest |entry| m first, so no power
     overflows.  For Phi = c t^r the norm is m (c mean w^r)^(1/r), and m
-    itself at r = inf; otherwise it is m / s with s from `_unit_roots`."""
+    itself at r = inf; otherwise it is m / s with s from `_unit_roots`.
+    c <= 1 in every power form, so only m / s can pass the float range:
+    that is a ValueError, not inf."""
     if lens is None:
         lens = np.full(vals.shape[0], vals.shape[1])
     vals = np.abs(vals).reshape(-1)
@@ -447,7 +449,10 @@ def _luxemburg_rows(phi: YoungFunction, vals: np.ndarray, lens: np.ndarray | Non
     unit = np.empty(len(lens))
     unit[solve] = _unit_roots(phi, w[np.repeat(solve, lens)], lens[solve])
     unit[single] = unit[single[:1]]
-    out[active] = m / unit
+    with np.errstate(over="ignore"):
+        out[active] = m / unit
+    if np.isinf(out).any():
+        raise ValueError("Luxemburg norm beyond the float range")
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from choquet.content import _as_occupancy, _cost_tables, _morton_order
+from choquet.content import _as_occupancy, _cost_tables, _morton_order, choquet_integral
 from choquet.lattice import (
     CubeId,
     GridFunction,
@@ -102,6 +102,13 @@ def merge_choquet_integral(f: GridFunction) -> float:
     contents = cost[::-1]  # the root's entries, by ascending value
     steps = np.diff(levels, prepend=0.0)
     return float((steps * contents).sum())
+
+
+def powered_choquet_norm(f: GridFunction, p: float) -> float:
+    """`choquet_norm` the slow way: the Choquet integral of the grid |f|^p,
+    to the power 1/p.  It builds a second grid and runs a second merge, and
+    only serves values whose p-th powers stay in the normal float range."""
+    return choquet_integral(GridFunction(f.config, np.abs(f.values) ** p)) ** (1.0 / p)
 
 
 def leaf_sweep(config: LatticeConfig, level_stats: list[np.ndarray]) -> MaximalResult:

@@ -191,6 +191,14 @@ def test_cantor_growth(capsys):
     assert lines[3] == "3,4.000000000000"
 
 
+def test_cantor_growth_below_p_one(capsys):
+    # depth + 1 at every p > 0
+    code, out, _ = run(capsys, "--n", "1", "--L", "8", "cantor", "growth",
+                       "--m", "2", "--depth", "3", "--p", "0.5")
+    assert code == 0
+    assert out.strip().splitlines() == [f"{k},{k + 1}.000000000000" for k in range(4)]
+
+
 def test_verify_pass_and_json(capsys):
     code, out, _ = run(capsys, "--n", "1", "--L", "3", "--d", "0.5",
                        "verify", "adams", "--trials", "5", "--seed", "1")
@@ -450,9 +458,8 @@ def _magnitude_file(tmp_path, values):
 
 
 # Powers or sums of these finite inputs leave the float64 range.  Each
-# command should print the true value (the homogeneous value on the unit
-# input, times the scale) without a warning; they do not yet.
-@pytest.mark.xfail(strict=True, reason="powers underflow to 0: a silent wrong number")
+# command prints the true value (the homogeneous value on the unit input,
+# times the scale) without a warning.
 @pytest.mark.parametrize("args", [["choquet", "--p", "2"], ["norm", "--space", "morrey", "--p", "2"]],
                          ids=["choquet", "morrey"])
 def test_tiny_values_keep_their_norm(capsys, tmp_path, args):
@@ -462,7 +469,6 @@ def test_tiny_values_keep_their_norm(capsys, tmp_path, args):
     assert float(out) == pytest.approx(1e-200 * float(unit), rel=1e-9, abs=0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="sums overflow: a warning, then 'leaf values must be finite'")
 @pytest.mark.parametrize("args", [["maximal", "hl"], ["sparse", "apply", "--cubes", "0:0"],
                                   ["norm", "--space", "morrey", "--p", "2"]],
                          ids=["maximal_hl", "sparse_apply", "morrey"])
@@ -475,7 +481,6 @@ def test_huge_values_keep_their_norm(capsys, tmp_path, args):
     assert np.allclose(got, 1.7e308 * want, rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="prints inf and exits 0")
 def test_luxemburg_beyond_float_range_is_usage_error(capsys, tmp_path):
     # the llogl average of the constant 1.7e308 is 1.7e308 * 1.2568 > 1.8e308
     code, out, err, caught = _run_quietly(capsys, "luxemburg", "--phi", "llogl", "--cube", "0:0",

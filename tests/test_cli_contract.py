@@ -7,9 +7,9 @@ alone: a JSON object with integer n and L, a number d, 1 <= n <= 24,
 L >= 0, n*L <= 24, 0 < d < n, and a flat list of 2^(nL) finite numbers;
 or, for CSV, one finite number per non-empty row and 2^(nL) rows.
 
-Drawn leaf values stay within |v| <= 1e6.  Values whose powers or sums
-leave the float64 range are a separate, known defect: the xfail tests at
-the end of test_cli.py.
+Drawn leaf values range over every finite float64, so sums and powers
+that would leave the float range are part of the contract: the magnitude
+tests at the end of test_cli.py check their values.
 """
 
 import contextlib
@@ -45,7 +45,8 @@ GRID_COMMANDS = [
 CSV_FLAGS = ["--n", "2", "--L", "1", "--d", "1.0"]
 CSV_CELLS = 4
 
-LEAF = st.one_of(st.sampled_from([0, 1, 0.0, 1.0, -1.0]), st.floats(-1e6, 1e6),
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LEAF = st.one_of(st.sampled_from([0, 1, 0.0, 1.0, -1.0]), FINITE,
                  st.sampled_from([math.nan, math.inf, -math.inf]))
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), LEAF, st.text(max_size=4))
 KEYS = st.one_of(st.sampled_from(["n", "L", "d", "values"]), st.text(max_size=3))
@@ -125,7 +126,7 @@ def grid_documents(draw):
     """A valid grid document, n*L <= 4, an indicator half the time."""
     n = draw(st.integers(1, 2))
     L = draw(st.integers(0, 4 // n))
-    leaf = st.sampled_from([0, 1]) if draw(st.booleans()) else st.floats(-1e6, 1e6)
+    leaf = st.sampled_from([0, 1]) if draw(st.booleans()) else FINITE
     values = draw(st.lists(leaf, min_size=2 ** (n * L), max_size=2 ** (n * L)))
     return {"n": n, "L": L, "d": draw(st.floats(0.05, n - 0.05)), "values": values}
 

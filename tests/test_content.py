@@ -27,6 +27,7 @@ from conftest import (
     lp_frostman_value,
     mask_choquet_integral,
     merge_choquet_integral,
+    powered_choquet_norm,
     random_leaf_mask,
     sorted_cover_strings,
     stack_walk_cover,
@@ -349,6 +350,35 @@ def test_choquet_norm():
     assert choquet_norm(GridFunction.constant(cfg, 1.0), 7.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         choquet_norm(f, 0.0)
+
+
+@oracle_settings
+@given(f=lattice_functions(), p=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]),
+       scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_choquet_norm_matches_powered_grid_oracle(f, p, scale, seed):
+    # the profile's scaled levels against |f|^p on a second grid: at p = 1
+    # the scaling is exact and the sums match term for term, so ==; else
+    # the two round their powers differently
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], f.config.num_cells)
+    f = GridFunction(f.config, f.values * signs * 10.0**scale)
+    got, want = choquet_norm(f, p), powered_choquet_norm(f, p)
+    if p == 1.0:
+        assert got == want
+    else:
+        assert abs(got - want) <= 2e-15 * want
+
+
+@oracle_settings
+@given(f=lattice_functions(), p=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, np.inf]),
+       j=st.integers(-960, 960))
+@example(f=GridFunction(LatticeConfig(1, 2, 0.5), [1.0, 0.0, 1.0, 0.0]), p=2.0, j=-664)  # ~1e-200
+@example(f=GridFunction(LatticeConfig(1, 2, 0.5), [1.0, 0.0, 1.0, 0.0]), p=4.0, j=1023)
+def test_choquet_norm_scales_exactly_by_powers_of_two(f, p, j):
+    # c = 2^j scales every level and the result exactly, even where (c f)^p
+    # leaves the float range; rng.random() values are at least 2^-53, so
+    # every c * f and the norm stay normal
+    c = 2.0**j
+    assert choquet_norm(GridFunction(f.config, c * f.values), p) == c * choquet_norm(f, p)
 
 
 def test_choquet_norm_triangle_p1(rng):

@@ -13,6 +13,7 @@ from choquet.lattice import (
     LevelOverflowError,
     Tiling,
     TilingReport,
+    _mean_pyramid,
     all_cubes,
     cell_average,
     children,
@@ -83,6 +84,30 @@ def test_pyramid_is_repeated_coarsen(config, seed):
             assert np.array_equal(levels[k - 1], coarsen(levels[k], op))
         for q in all_cubes(config):
             assert levels[q.level][q.index] == op.reduce(grid[cube_slices(config, q)], axis=None)
+
+
+@oracle_settings
+@given(config=configs(), seed=st.integers(0, 2**32 - 1))
+def test_mean_pyramid_is_pyramid_over_cell_counts(config, seed):
+    # in the normal range, scaling before the sums is exact: ==
+    rng = np.random.default_rng(seed)
+    grid = rng.random(config.grid_shape) * 10.0 ** rng.uniform(-200.0, 200.0, config.grid_shape)
+    means = _mean_pyramid(grid)
+    assert means[config.L] is grid
+    for k, sums in enumerate(pyramid(grid)):
+        assert np.array_equal(means[k], sums / 2 ** (config.n * (config.L - k)))
+
+
+def test_mean_pyramid_stays_in_float_range():
+    # the sums of 1.7e308 overflow; a global rescale by the largest value
+    # would flush the cube of 1e-300 next to it to 0
+    grid = np.array([[1.7e308, 1.7e308], [1e-300, 1e-300]])
+    with np.errstate(over="raise", under="raise"):
+        means = _mean_pyramid(grid)
+    assert np.array_equal(means[1], grid)
+    assert means[0][0, 0] == pytest.approx((1.7e308 + 1e-300) / 2, rel=1e-15)
+    means = _mean_pyramid(np.array([1e-300, 1e-300, 0.0, 1.7e308]))
+    assert means[1][0] == 1e-300 and means[1][1] == 0.85e308
 
 
 @pytest.mark.parametrize("bad", [CubeId(1, (0, 0)), CubeId(3, (5,))])
@@ -187,6 +212,12 @@ def test_grid_function_rejects_non_finite(bad):
         GridFunction(cfg, [0.0, bad, 1.0, 0.0])
     with pytest.raises(ValueError, match="finite"):
         GridFunction.from_json(json.dumps({"n": 1, "L": 2, "d": 0.5, "values": [0.0, bad, 1.0, 0.0]}))
+
+
+def test_grid_function_rejects_int_beyond_float_range():
+    # OverflowError escaped np.asarray before
+    with pytest.raises(ValueError, match="within the float range"):
+        GridFunction(LatticeConfig(1, 1, 0.5), [10**400, 0])
 
 
 @pytest.mark.parametrize("field, bad", [("L", 2.9), ("L", 2.0), ("L", "2"), ("n", True), ("n", None)])

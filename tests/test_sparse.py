@@ -122,6 +122,15 @@ def test_apply_sparse_matches_slice_oracle(data):
     assert np.array_equal(apply_sparse(f, fam).grid, _slice_apply_sparse(f, cubes))
 
 
+def test_apply_sparse_near_the_float_range():
+    # the means scale before they add, so the root's mean of 1.7e308 is
+    # exact; the image of a nested pair is twice that, beyond the range
+    f = GridFunction.constant(LatticeConfig(1, 2, 0.5), 1.7e308)
+    assert np.array_equal(apply_sparse(f, SparseFamily([ROOT1], eta=0.5)).values, f.values)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        apply_sparse(f, SparseFamily([ROOT1, CubeId(1, (0,))], eta=0.5))
+
+
 @pytest.mark.parametrize("bad", [CubeId(1, (0, 0)), CubeId(3, (5,))])
 def test_apply_sparse_rejects_cube_outside_lattice(bad):
     f = GridFunction.constant(LatticeConfig(1, 2, 0.5), 1.0)
@@ -192,6 +201,20 @@ def test_cantor_lux_bound_constants():
 def test_unboundedness_exact_growth():
     got = unboundedness_demo(CantorConfig(1, 2, 3), 1.0)
     assert got == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("n, m, K", [(1, 2, 5), (2, 2, 4), (1, 3, 4), (3, 2, 3)])
+def test_unboundedness_growth_below_p_one(n, m, K, p):
+    # every stage has content 1, so the layer cake gives (K+1)^p at any p > 0
+    for depth, norm in unboundedness_demo(CantorConfig(n, m, K), p):
+        assert norm == pytest.approx(depth + 1, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, np.nan])
+def test_unboundedness_rejects_p_not_positive(p):
+    with pytest.raises(ValueError, match="p > 0"):
+        unboundedness_demo(CantorConfig(1, 2, 1), p)
 
 
 def test_unboundedness_input_norm_is_one():

@@ -425,3 +425,15 @@ def test_luxemburg_without_deriv_bisects():
         for got, want in zip(luxemburg_norm_table(f, Cube()), luxemburg_norm_table(f, Power(3))):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
         _assert_table_is_single_cube(f, Cube())
+
+
+@pytest.mark.parametrize("phi", [LlogL(), ExpM1()], ids=["llogl", "expm1"])
+def test_luxemburg_norm_beyond_float_range_is_value_error(phi):
+    # the norm of the constant 1.7e308 is 1.7e308 / s with s < 1: inf once
+    f = GridFunction.constant(LatticeConfig(1, 2, 0.5), 1.7e308)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        luxemburg_norm(f, ROOT1, phi)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        luxemburg_norm_table(f, phi)
+    # the power closed forms stay at or below the largest value
+    assert luxemburg_norm(f, ROOT1, Power(2.0)) == pytest.approx(1.7e308, rel=1e-15)
