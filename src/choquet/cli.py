@@ -252,18 +252,17 @@ def _dispatch(args) -> int:
         if args.n is None:
             raise ValueError("cantor commands need --n")
         c = CantorConfig(args.n, args.m, args.depth)
-        L = args.L if args.L is not None else c.m * c.K
         if args.action == "family":
-            fam = cantor_family(c, L)
+            fam = cantor_family(c, args.L)
             _emit(args, fam.family.to_json_dict())
         elif args.action == "content":
             for k in range(c.K + 1):
-                print(fmt(cantor_content(c, k, L)))
+                print(fmt(cantor_content(c, k, args.L)))
         elif args.action == "lux-bound":
-            res = cantor_lux_bound(c, L)
+            res = cantor_lux_bound(c, args.L)
             _emit(args, {key: fmt(val) for key, val in res.items()})
         else:
-            for depth, norm in unboundedness_demo(c, args.p, L):
+            for depth, norm in unboundedness_demo(c, args.p, args.L):
                 print(f"{depth},{fmt(norm)}")
         return 0
 

@@ -231,6 +231,16 @@ def choquet_integral(f: GridFunction) -> float:
     return float((np.diff(levels, prepend=0.0) * contents).sum())
 
 
+def _profile_norm(levels: np.ndarray, contents: np.ndarray, p: float) -> float:
+    """The L^p norm of a level-set profile, levels scaled by 2^-e and the
+    result by 2^e (e from frexp of the largest); p = inf gives the largest."""
+    if np.isinf(p):
+        return float(levels.max(initial=0.0))
+    e = np.frexp(levels.max(initial=0.0))[1]
+    steps = np.diff(np.ldexp(levels, -e) ** p, prepend=0.0)
+    return float(np.ldexp((steps * contents).sum() ** (1.0 / p), e))
+
+
 def choquet_norm(f: GridFunction, p: float) -> float:
     """The L^p(H^d) functional from the level-set profile of |f|, scaled
     exactly by a power of two; p = inf gives the essential sup (max leaf)."""
@@ -238,7 +248,4 @@ def choquet_norm(f: GridFunction, p: float) -> float:
         raise ValueError(f"exponent must satisfy p > 0, got {p}")
     if np.isinf(p):
         return float(np.abs(f.values).max())
-    levels, contents = _level_contents(f.config, np.abs(f.grid))
-    e = np.frexp(levels.max(initial=0.0))[1]
-    steps = np.diff(np.ldexp(levels, -e) ** p, prepend=0.0)
-    return float(np.ldexp((steps * contents).sum() ** (1.0 / p), e))
+    return _profile_norm(*_level_contents(f.config, np.abs(f.grid)), p)

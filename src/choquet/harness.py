@@ -360,7 +360,6 @@ def _verification_ineq(ctx: SuiteContext, i: int):
 
 
 def _thm31_first(ctx: SuiteContext, i: int):
-    config = ctx.config
     phi, phibar = _PAIRS[i % 2]
     p = [1.0, 2.0][(i // 2) % 2]
     pprime = np.inf if p == 1.0 else p / (p - 1.0)
@@ -369,10 +368,7 @@ def _thm31_first(ctx: SuiteContext, i: int):
     t = ctx.instance("tiling", i, salt=3)
     lhs = pairing(f, g)
     bn = block_norm(f, p, phi, t)
-    if np.isinf(pprime):
-        mg = orlicz_morrey_norm(g, np.inf, phibar)
-    else:
-        mg = choquet_norm(orlicz_fractional_maximal(g, config.n - config.d, phibar).values, pprime)
+    mg = orlicz_morrey_norm(g, pprime, phibar)
     return _ratio(lhs, bn * mg), {"f": f, "g": g, "tiling": [str(q) for q in t], "p": p, "phi": phi.name}
 
 

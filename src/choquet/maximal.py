@@ -67,16 +67,14 @@ def hl_maximal(f: GridFunction) -> MaximalResult:
     return _sweep(f.config, _mean_pyramid(np.abs(f.grid)))
 
 
-def fractional_measure_maximal(mu: GridFunction, d: float | None = None) -> MaximalResult:
+def fractional_measure_maximal(mu: GridFunction) -> MaximalResult:
     """M_d of the measure with density mu: per leaf, max over ancestor cubes
-    of mu(Q) / side(Q)^d."""
+    of mu(Q) / side(Q)^d, with the lattice's d."""
     if not mu.is_nonnegative():
         raise ValueError("density has negative cell values")
     config = mu.config
-    if d is None:
-        d = config.d
     # mu(Q) is the mean times |Q| = 2^(-nk)
-    stats = [means * 2.0 ** (-config.n * k) * 2.0 ** (k * d) for k, means in enumerate(_mean_pyramid(mu.grid))]
+    stats = [means * 2.0 ** (-config.n * k) * 2.0 ** (k * config.d) for k, means in enumerate(_mean_pyramid(mu.grid))]
     return _sweep(config, stats)
 
 

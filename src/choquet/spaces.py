@@ -101,10 +101,16 @@ def tiling_orlicz_morrey_norm(g: GridFunction, pprime: float, phibar: YoungFunct
 
 
 def pairing(f: GridFunction, g: GridFunction) -> float:
-    """Lebesgue inner product over the root cube."""
+    """Lebesgue inner product over the root cube.  The cell volume, a power
+    of two, scales f first, so a product is only out of range when the
+    result is: that is a ValueError, not inf."""
     if f.config != g.config:
         raise ValueError("pairing requires a common lattice")
-    return float((f.values * g.values).sum() * f.config.cell_volume)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = float((f.values * f.config.cell_volume * g.values).sum())
+    if not np.isfinite(out):
+        raise ValueError("pairing beyond the float range")
+    return out
 
 
 class InadmissibleMeasureError(ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import choquet_norm, hausdorff_content_value
+from .content import _level_contents, _profile_norm, hausdorff_content_value
 from .lattice import CubeId, GridFunction, LatticeConfig, _mean_pyramid, cube_slices, indicator, level_masks, paint
 from .young import ExpM1, luxemburg_norm
 
@@ -160,8 +160,10 @@ class CantorFamily:
         return indicator(self.config, self.levels[k])
 
 
-def cantor_family(c: CantorConfig, L: int) -> CantorFamily:
-    """Build the snapped Cantor family down to depth K inside a level-L lattice."""
+def cantor_family(c: CantorConfig, L: int | None = None) -> CantorFamily:
+    """Build the snapped Cantor family down to depth K inside a level-L lattice, L = m*K by default."""
+    if L is None:
+        L = c.m * c.K
     if c.m * c.K > L:
         raise ValueError(f"resolution exceeded: depth {c.K} needs L >= {c.m * c.K}, got {L}")
     config = c.lattice(L)
@@ -176,8 +178,6 @@ def cantor_family(c: CantorConfig, L: int) -> CantorFamily:
 
 def cantor_content(c: CantorConfig, k: int, L: int | None = None) -> float:
     """Content of the stage-k set; exactly 1 in snapped mode."""
-    if L is None:
-        L = c.m * c.K
     if k > c.K:
         raise ValueError(f"stage {k} exceeds depth {c.K}")
     fam = cantor_family(c, L)
@@ -197,7 +197,7 @@ def cantor_lux_bound(c: CantorConfig, L: int | None = None) -> dict:
     Lambda0 = one_minus_delta ** (c.n / 2.0)
     lambda_star = math.exp(1.0 / lambda0) / (1.0 - Lambda0)
 
-    fam = cantor_family(c, L if L is not None else c.m * c.K)
+    fam = cantor_family(c, L)
     F = apply_sparse(GridFunction.constant(fam.config, 1.0), fam.family)
     root = CubeId(0, (0,) * c.n)
     computed = luxemburg_norm(F, root, ExpM1())
@@ -212,15 +212,15 @@ def cantor_lux_bound(c: CantorConfig, L: int | None = None) -> dict:
 def unboundedness_demo(c: CantorConfig, p: float, L: int | None = None) -> list[tuple[int, float]]:
     """Choquet norms of the sparse images at depths 0..K, each depth+1 at
     every p > 0 while the input's norm stays 1: every stage has content 1,
-    so the layer cake of the sum of the K+1 stage indicators is (K+1)^p."""
+    so the layer cake of the sum of the K+1 stage indicators is (K+1)^p.
+
+    The stages are nested, E^k inside E^(k-1), so the depth-K image F takes
+    the values 1..K+1 with {F >= j+1} = E^j: the depth-j image has the same
+    first j+1 level sets, each merged content bit-identical to the dense DP
+    of its set, so row j reads the first j+1 entries of F's one profile."""
     if not p > 0:  # false for NaN as well
         raise ValueError(f"exponent must satisfy p > 0, got {p}")
-    if L is None:
-        L = c.m * c.K
-    rows = []
-    for depth in range(c.K + 1):
-        sub = CantorConfig(c.n, c.m, depth)
-        fam = cantor_family(sub, L)
-        F = apply_sparse(GridFunction.constant(fam.config, 1.0), fam.family)
-        rows.append((depth, choquet_norm(F, p)))
-    return rows
+    fam = cantor_family(c, L)
+    F = apply_sparse(GridFunction.constant(fam.config, 1.0), fam.family)
+    levels, contents = _level_contents(fam.config, F.grid)
+    return [(j, _profile_norm(levels[:j + 1], contents[:j + 1], p)) for j in range(c.K + 1)]

@@ -565,23 +565,30 @@ def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     Psi(t) = t Phi'(t) - Phi(t) is nondecreasing, so the minimiser s* solves
     mean Psi(|g|/s*) = 1 (Rao-Ren, Theory of Orlicz Spaces, 1991): it is the
     Luxemburg norm of |g| for Psi, from the same solver.  The value lies
-    between the Luxemburg norm and twice it.
+    between the Luxemburg norm and twice it; beyond the float range it is
+    a ValueError, not inf.
     """
     vals = np.abs(g.restrict(q)).reshape(1, -1)
     m = float(vals.max())
-    if m == 0.0:
-        return 0.0
     form = _POWER_FORMS.get(type(phi))
-    if form is None:
+    if m == 0.0:
+        out = 0.0
+    elif form is None:
         s = float(_luxemburg_rows(_AmemiyaPsi(phi), vals)[0])
-        return s * (1.0 + _phi_mean(phi, vals.reshape(-1) / s))
-    # Phi = c t^r at w = |g| / m: the identity's Psi is 0 (the infimum is the
-    # limit s -> 0, the mean), its conjugate's is 0 then +inf (the minimum is
-    # at s = 1), and otherwise s* = ((r-1) c mean w^r)^(1/r) gives s* r/(r-1).
-    c, r = form(phi)
-    w = vals / m
-    if r == 1.0:
-        return m * float(np.mean(w))
-    if np.isinf(r):
-        return m
-    return m * (r / (r - 1.0) * ((r - 1.0) * c * float(np.mean(w**r))) ** (1.0 / r))
+        out = s * (1.0 + _phi_mean(phi, vals.reshape(-1) / s))
+    else:
+        # Phi = c t^r at w = |g| / m: the identity's Psi is 0 (the infimum is
+        # the limit s -> 0, the mean), its conjugate's is 0 then +inf (the
+        # minimum is at s = 1), and otherwise s* = ((r-1) c mean w^r)^(1/r)
+        # gives s* r/(r-1).
+        c, r = form(phi)
+        w = vals / m
+        if r == 1.0:
+            out = m * float(np.mean(w))
+        elif np.isinf(r):
+            out = m
+        else:
+            out = m * (r / (r - 1.0) * ((r - 1.0) * c * float(np.mean(w**r))) ** (1.0 / r))
+    if not np.isfinite(out):
+        raise ValueError("Amemiya norm beyond the float range")
+    return out

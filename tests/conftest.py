@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from choquet.content import _as_occupancy, _cost_tables, _morton_order, choquet_integral
+from choquet.content import _as_occupancy, _cost_tables, _morton_order, choquet_integral, choquet_norm
 from choquet.lattice import (
     CubeId,
     GridFunction,
@@ -28,7 +28,7 @@ from choquet.lattice import (
     refine,
 )
 from choquet.maximal import MaximalResult
-from choquet.sparse import SparseFamily, SparseReport
+from choquet.sparse import CantorConfig, SparseFamily, SparseReport, apply_sparse, cantor_family
 from choquet.young import LuxemburgConvergenceError, NumericConjugate, YoungFunction, luxemburg_norm
 
 
@@ -109,6 +109,16 @@ def powered_choquet_norm(f: GridFunction, p: float) -> float:
     to the power 1/p.  It builds a second grid and runs a second merge, and
     only serves values whose p-th powers stay in the normal float range."""
     return choquet_integral(GridFunction(f.config, np.abs(f.values) ** p)) ** (1.0 / p)
+
+
+def per_depth_unboundedness(c: CantorConfig, p: float, L: int) -> list[tuple[int, float]]:
+    """`unboundedness_demo` the slow way: for each depth 0..K, a new family,
+    a new sparse image of 1 and a new merge for its `choquet_norm`."""
+    rows = []
+    for depth in range(c.K + 1):
+        fam = cantor_family(CantorConfig(c.n, c.m, depth), L)
+        rows.append((depth, choquet_norm(apply_sparse(GridFunction.constant(fam.config, 1.0), fam.family), p)))
+    return rows
 
 
 def leaf_sweep(config: LatticeConfig, level_stats: list[np.ndarray]) -> MaximalResult:

@@ -191,6 +191,15 @@ def test_cantor_growth(capsys):
     assert lines[3] == "3,4.000000000000"
 
 
+@pytest.mark.parametrize("action", ["growth", "content", "lux-bound", "family"])
+def test_cantor_default_lattice_is_finest_stage(capsys, action):
+    # --L defaults to m * depth
+    cantor = ["cantor", action, "--m", "3", "--depth", "2"]
+    want = run(capsys, "--n", "2", "--L", "6", *cantor)
+    assert want[0] == 0
+    assert run(capsys, "--n", "2", *cantor) == want
+
+
 def test_cantor_growth_below_p_one(capsys):
     # depth + 1 at every p > 0
     code, out, _ = run(capsys, "--n", "1", "--L", "8", "cantor", "growth",

@@ -113,14 +113,6 @@ def test_fractional_measure_maximal_brute(rng):
     assert np.allclose(m.values.grid, out, rtol=1e-13)
 
 
-def test_fractional_override_d():
-    cfg = LatticeConfig(1, 2, 0.5)
-    mu = GridFunction.constant(cfg, 1.0)
-    # with exponent d=1 this is mass/side = side^0 = 1 at every scale
-    m = fractional_measure_maximal(mu, d=1.0)
-    assert np.allclose(m.values.values, 1.0)
-
-
 def test_orlicz_identity_reduces_to_fractional_average(rng):
     cfg = LatticeConfig(1, 3, 0.5)
     f = GridFunction(cfg, rng.random(cfg.num_cells))

@@ -145,6 +145,16 @@ def test_pairing():
     assert pairing(f, GridFunction.constant(cfg, 1.0)) == pytest.approx(0.75)
 
 
+def test_pairing_near_the_float_range():
+    # the cell volume scales f before the product: 1e155 * 1e155 alone is
+    # beyond the range, 1e310 / 64 is not; 1.7e308^2 / 4 * 4 is
+    f = GridFunction(LatticeConfig(1, 6, 0.5), [1e155] + [0.0] * 63)
+    assert pairing(f, f) == 1.5625e308
+    f = GridFunction.constant(LatticeConfig(1, 2, 0.5), 1.7e308)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        pairing(f, f)
+
+
 def test_dual_witness_lebesgue_unit():
     cfg = LatticeConfig(1, 2, 0.5)
     f = GridFunction.constant(cfg, 1.0)

@@ -15,7 +15,7 @@ from choquet.sparse import (
     unboundedness_demo,
     verify_sparse,
 )
-from conftest import configs, families, pairwise_verify_sparse, slice_paint
+from conftest import configs, families, pairwise_verify_sparse, per_depth_unboundedness, slice_paint
 
 ROOT1 = CubeId(0, (0,))
 
@@ -162,6 +162,14 @@ def test_cantor_family_stage_geometry():
     assert np.all(e1[:64] == 1) and np.all(e1[192:] == 1) and np.all(e1[64:192] == 0)
 
 
+def test_cantor_family_default_lattice_is_finest_stage():
+    c = CantorConfig(2, 2, 3)
+    default, explicit = cantor_family(c), cantor_family(c, c.m * c.K)
+    assert default.config == explicit.config
+    assert default.family == explicit.family
+    assert default.levels == explicit.levels
+
+
 def test_cantor_family_resolution_guard():
     c = CantorConfig(1, 2, 4)
     with pytest.raises(ValueError):
@@ -209,6 +217,21 @@ def test_unboundedness_growth_below_p_one(n, m, K, p):
     # every stage has content 1, so the layer cake gives (K+1)^p at any p > 0
     for depth, norm in unboundedness_demo(CantorConfig(n, m, K), p):
         assert norm == pytest.approx(depth + 1, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n, m, K, L", [
+    (n, m, K, L)
+    for n, m, K in [(1, 2, 5), (2, 2, 4), (1, 3, 4), (3, 2, 3), (1, 2, 3), (2, 3, 2), (1, 4, 3)]
+    for L in (m * K, m * K + 1)
+])
+def test_unboundedness_matches_per_depth_oracle(n, m, K, L):
+    # the stages are nested, so one image's profile holds every depth's;
+    # each p costs the oracle K+1 merges, ~2 s at 2^21 cells, so lattices
+    # above 2^16 cells take one p on each side of 1
+    c = CantorConfig(n, m, K)
+    ps = [0.25, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0, 7.0, np.inf] if n * L <= 16 else [0.5, 3.0]
+    for p in ps:
+        assert unboundedness_demo(c, p, L) == per_depth_unboundedness(c, p, L)
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, np.nan])

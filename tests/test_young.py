@@ -437,3 +437,11 @@ def test_luxemburg_norm_beyond_float_range_is_value_error(phi):
         luxemburg_norm_table(f, phi)
     # the power closed forms stay at or below the largest value
     assert luxemburg_norm(f, ROOT1, Power(2.0)) == pytest.approx(1.7e308, rel=1e-15)
+
+
+@pytest.mark.parametrize("phi", [Power(2.0), LlogL()], ids=["power2", "llogl"])
+def test_amemiya_beyond_float_range_is_value_error(phi):
+    # the Amemiya norm of the constant 1.7e308 is above it: 2x for t^2
+    f = GridFunction.constant(LatticeConfig(1, 2, 0.5), 1.7e308)
+    with pytest.raises(ValueError, match="Amemiya norm beyond the float range"):
+        amemiya_functional(f, ROOT1, phi)
