@@ -30,7 +30,7 @@ from .lattice import (
     validate_masks,
 )
 from .maximal import fractional_measure_maximal, orlicz_fractional_maximal
-from .young import YoungFunction, _luxemburg_rows, luxemburg_norm_table
+from .young import YoungFunction, _luxemburg_rows, luxemburg_norm_table, luxemburg_norm_tables
 
 __all__ = [
     "SpaceSpec",
@@ -209,7 +209,7 @@ _SPACES = {  # tag: (the SpaceSpec fields it needs, the norm)
 }
 
 
-def space_norm(g: GridFunction, spec: SpaceSpec) -> float:
+def _space(spec: SpaceSpec):
     """The norm spec names; ValueError for an unknown tag or a missing field."""
     if spec.tag not in _SPACES:
         raise ValueError(f"unknown space tag {spec.tag!r}")
@@ -217,36 +217,52 @@ def space_norm(g: GridFunction, spec: SpaceSpec) -> float:
     missing = [name for name in fields if getattr(spec, name) is None]
     if missing:
         raise ValueError(f"space {spec.tag!r} needs {', '.join(missing)}")
-    return norm(g, spec)
+    return norm
+
+
+def space_norm(g: GridFunction, spec: SpaceSpec) -> float:
+    """The norm spec names; ValueError for an unknown tag or a missing field."""
+    return _space(spec)(g, spec)
+
+
+def _witnesses(absf: GridFunction, count: int, rng: np.random.Generator):
+    """The first `count` witness draws, skipping an empty random set: the
+    root indicator, |f| itself, random densities, Frostman measures of
+    random sets and scaled cube indicators, in turn."""
+    config = absf.config
+    for i in range(count):
+        if i == 0:
+            yield GridFunction.constant(config, 1.0)
+        elif i == 1 and absf.values.any():
+            yield absf  # self-pairing witness, often near-extremal
+        elif i % 3 == 1:
+            yield GridFunction(config, rng.random(config.num_cells))
+        elif i % 3 == 2:
+            mask = rng.random(config.num_cells) < max(rng.random(), 1.0 / config.num_cells)
+            if mask.any():
+                yield frostman_measure(GridFunction(config, mask.astype(float)))
+        else:
+            k = int(rng.integers(0, config.L + 1))
+            q = CubeId(k, tuple(int(rng.integers(0, 2**k)) for _ in range(config.n)))
+            yield GridFunction(config, indicator(config, q).values * (float(rng.random()) + 0.5))
 
 
 def associate_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed: int) -> float:
     """Lower bound for the associate norm of f against the given space:
     the best pairing(|f|, |g|)/norm(g) over generated admissible witnesses
     (the root indicator, random densities, Frostman measures of random
-    sets, and scaled cube indicators).  Deterministic given the seed."""
+    sets, and scaled cube indicators).  Deterministic given the seed.  The
+    spec is checked before any witness is drawn; the witnesses' Luxemburg
+    tables for spec.phi are then solved together, in one segmented solve."""
     if witnesses < 1:
         raise ValueError("need at least one witness")
-    config = f.config
-    absf = GridFunction(config, np.abs(f.values))
-    rng = np.random.default_rng(seed)
+    _space(spec)
+    absf = GridFunction(f.config, np.abs(f.values))
+    gs = list(_witnesses(absf, witnesses, np.random.default_rng(seed)))
+    if "phi" in _SPACES[spec.tag][0]:
+        luxemburg_norm_tables(gs, spec.phi)
     best = 0.0
-    for i in range(witnesses):
-        if i == 0:
-            g = GridFunction.constant(config, 1.0)
-        elif i == 1 and absf.values.any():
-            g = absf  # self-pairing witness, often near-extremal
-        elif i % 3 == 1:
-            g = GridFunction(config, rng.random(config.num_cells))
-        elif i % 3 == 2:
-            mask = rng.random(config.num_cells) < max(rng.random(), 1.0 / config.num_cells)
-            if not mask.any():
-                continue
-            g = frostman_measure(GridFunction(config, mask.astype(float)))
-        else:
-            k = int(rng.integers(0, config.L + 1))
-            q = CubeId(k, tuple(int(rng.integers(0, 2**k)) for _ in range(config.n)))
-            g = GridFunction(config, indicator(config, q).values * (float(rng.random()) + 0.5))
+    for g in gs:
         denom = space_norm(g, spec)
         if denom <= 0.0:
             continue

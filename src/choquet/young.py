@@ -19,8 +19,12 @@ s -> mean Phi(s|f|) inside a bisection bracket.  Each row stops on its own
 and its sums read its own entries only, so a cube's norm does not depend on
 which cubes share its solve: a table, one array per level shaped like
 `pyramid`'s, solves its levels at once (a few at a time on large lattices)
-and still equals the single-cube value.  The Amemiya norm inf_s s(1 + mean
-Phi(|f|/s)) goes through the same solver, with Psi(t) = t Phi'(t) - Phi(t).
+and still equals the single-cube value.  The tables of several functions on
+one lattice (`luxemburg_norm_tables`, as for the witnesses of an associate
+bound) share one segmented solve the same way.  Each Newton step asks Phi
+and Phi' together (`value_and_deriv`), so t log(e + t) takes one log.  The
+Amemiya norm inf_s s(1 + mean Phi(|f|/s)) goes through the same solver,
+with Psi(t) = t Phi'(t) - Phi(t).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "by_name",
     "luxemburg_norm",
     "luxemburg_norm_table",
+    "luxemburg_norm_tables",
     "phi_average",
     "young_equality_residual",
     "check_delta2",
@@ -71,6 +76,11 @@ class YoungFunction:
     def deriv(self, t):
         """Right-derivative Phi'(t)."""
         raise NotImplementedError(f"{self.name} has no registered derivative")
+
+    def value_and_deriv(self, t):
+        """(Phi(t), Phi'(t)), each `==` its own call; a subclass shares the
+        work the two have in common."""
+        return self(t), self.deriv(t)
 
     def complementary(self) -> "YoungFunction":
         """The convex conjugate sup{ts - Phi(s)}."""
@@ -175,6 +185,18 @@ class LlogL(YoungFunction):
     def deriv(self, t):
         t = np.asarray(t, dtype=float)
         return np.log(np.e + t) + t / (np.e + t)
+
+    def value_and_deriv(self, t):
+        # the operations of both calls, on two arrays: + and * commute exactly
+        t = np.asarray(t, dtype=float)
+        deriv = np.e + t
+        value = np.log(deriv)
+        np.divide(t, deriv, out=deriv)
+        deriv += value
+        with np.errstate(invalid="ignore"):
+            value *= t
+        np.putmask(value, np.isinf(t), np.inf)
+        return value, deriv
 
     def complementary(self):
         # Canonical pairing used throughout: e^t - 1.  The exact conjugate
@@ -305,6 +327,9 @@ class NumericConjugate(YoungFunction):
     def deriv(self, t):
         return self._lookup(t)[1]
 
+    def value_and_deriv(self, t):
+        return self._lookup(t)
+
     def _cache_key(self):
         return type(self), self.phi._cache_key()
 
@@ -332,12 +357,12 @@ def by_name(name: str) -> YoungFunction:
     raise ValueError(f"unknown Young function {name!r}")
 
 
-def _phi_means(phi: YoungFunction, x: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Mean of Phi over each segment of the flat array x (segment i starts at
-    starts[i] and has lens[i] entries); +inf on a segment with an entry
-    beyond the finiteness threshold."""
+def _phi_means(phi: YoungFunction, x: np.ndarray, phix: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Mean of phix = Phi(x) over each segment of the flat array x (segment
+    i starts at starts[i] and has lens[i] entries); +inf on a segment with
+    an entry beyond the finiteness threshold."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mean = np.add.reduceat(phi(x), starts) / lens
+        mean = np.add.reduceat(phix, starts) / lens
     if np.isfinite(phi.finite_threshold):
         mean[np.logical_or.reduceat(x > phi.finite_threshold, starts)] = np.inf
     return mean
@@ -345,7 +370,9 @@ def _phi_means(phi: YoungFunction, x: np.ndarray, starts: np.ndarray, lens: np.n
 
 def _phi_mean(phi: YoungFunction, x: np.ndarray) -> float:
     """`_phi_means` over all of x as one segment."""
-    return float(_phi_means(phi, x, np.zeros(1, dtype=int), np.array([x.size]))[0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phix = phi(x)
+    return float(_phi_means(phi, x, phix, np.zeros(1, dtype=int), np.array([x.size]))[0])
 
 
 # Young functions of the form Phi(t) = c t^r, keyed on the exact type (a
@@ -357,6 +384,29 @@ _POWER_FORMS = {
     PowerConjugate: lambda phi: (phi.coeff, phi.pprime),
     IdentityConjugate: lambda phi: (1.0, np.inf),
 }
+
+
+def _step_means(phi: YoungFunction, w: np.ndarray, s: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+                newton: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """G(s) - 1 = mean Phi(s w) - 1 on each segment and, with `newton`, its
+    slope mean w Phi'(s w), from one `value_and_deriv` call; the slope is
+    None when Phi has no `deriv`.  The per-entry arrays of a step live in
+    this frame alone, so they are freed before the next step's."""
+    x = np.repeat(s, lens)
+    x *= w
+    dphi = None
+    if newton:
+        try:
+            phix, dphi = phi.value_and_deriv(x)
+        except NotImplementedError:
+            pass
+    if dphi is None:
+        phix = phi(x)
+    g = _phi_means(phi, x, phix, starts, lens) - 1.0
+    if dphi is None:
+        return g, None
+    del x, phix  # the slope's product reuses their memory
+    return g, np.add.reduceat(w * dphi, starts) / lens
 
 
 def _unit_roots(phi: YoungFunction, w: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -384,22 +434,16 @@ def _unit_roots(phi: YoungFunction, w: np.ndarray, lens: np.ndarray) -> np.ndarr
     newton = True
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_LUX_MAX_STEPS):
-            x = np.repeat(s, lens) * w
-            g = _phi_means(phi, x, starts, lens) - 1.0
+            g, slope = _step_means(phi, w, s, starts, lens, newton)
+            newton = slope is not None
             over = g > 0.0
             lo, hi = np.where(over, lo, s), np.where(over, s, hi)
             new = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
             if newton:
-                try:
-                    dphi = phi.deriv(x)
-                except NotImplementedError:
-                    newton = False
-                else:
-                    slope = np.add.reduceat(w * dphi, starts) / lens
-                    cand = s - g / slope
-                    ok = ((slope > 0.0) & (slope < np.inf) & (cand > 0.0) & (cand >= lo)
-                          & (cand <= np.minimum(hi, 2.0 * s)) & (np.abs(cand - s) <= 0.5 * before_last))
-                    new = np.where(ok, cand, new)
+                cand = s - g / slope
+                ok = ((slope > 0.0) & (slope < np.inf) & (cand > 0.0) & (cand >= lo)
+                      & (cand <= np.minimum(hi, 2.0 * s)) & (np.abs(cand - s) <= 0.5 * before_last))
+                new = np.where(ok, cand, new)
             step = np.abs(new - s)
             done = (step <= _LUX_REL_TOL * new) | (hi - lo <= _LUX_REL_TOL * lo)
             s, last, before_last = new, step, last
@@ -427,6 +471,8 @@ def _luxemburg_rows(phi: YoungFunction, vals: np.ndarray, lens: np.ndarray | Non
     that is a ValueError, not inf."""
     if lens is None:
         lens = np.full(vals.shape[0], vals.shape[1])
+    # Each copy of the entries is bound to `vals` and frees the one before,
+    # a temporary input included.
     vals = np.abs(vals).reshape(-1)
     mx = np.maximum.reduceat(vals, lens.cumsum() - lens)
     out = np.zeros(len(lens))
@@ -434,20 +480,20 @@ def _luxemburg_rows(phi: YoungFunction, vals: np.ndarray, lens: np.ndarray | Non
     if not active.any():
         return out
     m = mx[active]
-    w = vals[np.repeat(active, lens)]
+    vals = vals[np.repeat(active, lens)]
     lens = lens[active]
-    w /= np.repeat(m, lens)
+    vals /= np.repeat(m, lens)
     form = _POWER_FORMS.get(type(phi))
     if form is not None:
         c, r = form(phi)
-        out[active] = m if np.isinf(r) else m * (c * np.add.reduceat(w**r, lens.cumsum() - lens) / lens) ** (1.0 / r)
+        out[active] = m if np.isinf(r) else m * (c * np.add.reduceat(vals**r, lens.cumsum() - lens) / lens) ** (1.0 / r)
         return out
     # A one-entry row scales to [1]: solve the first one, copy it to the rest.
     single = np.flatnonzero(lens == 1)
     solve = np.ones(len(lens), dtype=bool)
     solve[single[1:]] = False
     unit = np.empty(len(lens))
-    unit[solve] = _unit_roots(phi, w[np.repeat(solve, lens)], lens[solve])
+    unit[solve] = _unit_roots(phi, vals[np.repeat(solve, lens)], lens[solve])
     unit[single] = unit[single[:1]]
     with np.errstate(over="ignore"):
         out[active] = m / unit
@@ -461,34 +507,49 @@ def luxemburg_norm(f: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     return float(_luxemburg_rows(phi, f.restrict(q).reshape(1, -1))[0])
 
 
-# Levels of a table join one solve while the group's flat arrays stay within
-# this many entries (every level holds all N leaf values).  Past that, the
-# arrays of one Newton step outgrow the CPU caches and a step costs more
-# than the per-call overhead it saves (ladder in CHANGES.md).
-_LUX_GROUP_ENTRIES = 2**14
+# Levels of one table or of many join one solve while the group's flat
+# arrays stay within this many entries (every level holds all N leaf
+# values).  Past that, the arrays of one Newton step outgrow the CPU caches
+# and, in the tables of many small functions, the process's resident memory
+# grows by more than the per-call overhead is worth (ladder in CHANGES.md).
+_LUX_GROUP_ENTRIES = 2**12
 
 
 def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray]:
     """Luxemburg norms of f over every lattice cube, one read-only array per
     level shaped (2^k,)*n like `pyramid`, each entry `==` to
-    `luxemburg_norm` on that cube.  The levels are solved together as
-    segments of one flat array, a few levels per solve on large lattices.
+    `luxemburg_norm` on that cube: `luxemburg_norm_tables` of f alone.
     Cached per (function, phi._cache_key()): GridFunction values are
     immutable, so the table never goes stale."""
-    cache = f.__dict__.setdefault("_lux_tables", {})
+    return luxemburg_norm_tables([f], phi)[0]
+
+
+def luxemburg_norm_tables(fs, phi: YoungFunction) -> list[list[np.ndarray]]:
+    """The `luxemburg_norm_table` of each function in fs, all on one lattice
+    (ValueError otherwise).  The tables not yet cached share one segmented
+    solve: every level of every table is a segment of one flat array, a few
+    levels per solve once a solve would pass `_LUX_GROUP_ENTRIES` entries.
+    A function listed twice is solved once."""
+    fs = list(fs)
+    if any(f.config != fs[0].config for f in fs[1:]):
+        raise ValueError("Luxemburg tables of functions on different lattices")
     key = phi._cache_key()
-    if key not in cache:
-        grid = np.abs(f.grid)
-        blocks = [cube_blocks(grid, k) for k in range(f.config.L + 1)]
-        per_solve = max(1, _LUX_GROUP_ENTRIES // grid.size)
-        flat = []
+    todo = list({id(f): f for f in fs if key not in f.__dict__.setdefault("_lux_tables", {})}.values())
+    if todo:
+        n, L, cells = todo[0].config.n, todo[0].config.L, todo[0].config.num_cells
+        blocks = [(f, k) for f in todo for k in range(L + 1)]
+        per_solve = max(1, _LUX_GROUP_ENTRIES // cells)
+        levels = []
         for group in (blocks[i : i + per_solve] for i in range(0, len(blocks), per_solve)):
-            lens = np.concatenate([np.full(b.shape[0], b.shape[1]) for b in group])
-            norms = _luxemburg_rows(phi, np.concatenate([b.reshape(-1) for b in group]), lens)
+            rows = [2 ** (n * k) for _, k in group]
+            lens = np.repeat([cells // r for r in rows], rows)
+            norms = _luxemburg_rows(phi, np.concatenate([cube_blocks(f.grid, k).reshape(-1) for f, k in group]), lens)
             norms.flags.writeable = False  # and so every level's view of it
-            flat += np.split(norms, np.cumsum([b.shape[0] for b in group])[:-1])
-        cache[key] = [a.reshape((2**k,) * f.config.n) for k, a in enumerate(flat)]
-    return cache[key]
+            ends = np.cumsum(rows).tolist()
+            levels += [norms[end - r : end].reshape((2**k,) * n) for (_, k), r, end in zip(group, rows, ends)]
+        for i, f in enumerate(todo):
+            f._lux_tables[key] = levels[i * (L + 1) : (i + 1) * (L + 1)]
+    return [f._lux_tables[key] for f in fs]
 
 
 def phi_average(f: GridFunction, q: CubeId, phi: YoungFunction, lam: float) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from choquet.content import _as_occupancy, _cost_tables, _morton_order, choquet_integral, choquet_norm
+from choquet.content import _as_occupancy, _cost_tables, _morton_order, choquet_integral, choquet_norm, frostman_measure
 from choquet.lattice import (
     CubeId,
     GridFunction,
@@ -24,10 +24,12 @@ from choquet.lattice import (
     children,
     coarsen,
     cube_slices,
+    indicator,
     measure_of_cube,
     refine,
 )
 from choquet.maximal import MaximalResult
+from choquet.spaces import SpaceSpec, pairing, space_norm
 from choquet.sparse import CantorConfig, SparseFamily, SparseReport, apply_sparse, cantor_family
 from choquet.young import LuxemburgConvergenceError, NumericConjugate, YoungFunction, luxemburg_norm
 
@@ -219,6 +221,37 @@ def per_tile_dual_witness(f: GridFunction, mu: GridFunction, p: float, phi: Youn
     F = GridFunction(config, out)
     certs = [(q, q.side**alpha * luxemburg_norm(F, q, phibar) if a > 0.0 else 0.0, a) for q, a in norms]
     return F, certs
+
+
+def per_witness_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed: int) -> float:
+    """`associate_lower_bound` one witness at a time: each witness is drawn,
+    normed by `space_norm` (its Luxemburg table solved on its own) and
+    paired before the next is drawn."""
+    config = f.config
+    absf = GridFunction(config, np.abs(f.values))
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for i in range(witnesses):
+        if i == 0:
+            g = GridFunction.constant(config, 1.0)
+        elif i == 1 and absf.values.any():
+            g = absf
+        elif i % 3 == 1:
+            g = GridFunction(config, rng.random(config.num_cells))
+        elif i % 3 == 2:
+            mask = rng.random(config.num_cells) < max(rng.random(), 1.0 / config.num_cells)
+            if not mask.any():
+                continue
+            g = frostman_measure(GridFunction(config, mask.astype(float)))
+        else:
+            k = int(rng.integers(0, config.L + 1))
+            q = CubeId(k, tuple(int(rng.integers(0, 2**k)) for _ in range(config.n)))
+            g = GridFunction(config, indicator(config, q).values * (float(rng.random()) + 0.5))
+        denom = space_norm(g, spec)
+        if denom <= 0.0:
+            continue
+        best = max(best, pairing(absf, g) / denom)
+    return best
 
 
 # Grid files that `GridFunction.from_json` rejects: name -> (JSON text,

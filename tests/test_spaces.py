@@ -1,6 +1,7 @@
+import conftest
 import numpy as np
 import pytest
-from conftest import configs, per_tile_dual_witness, powered_choquet_norm, slice_paint, tilings
+from conftest import configs, per_tile_dual_witness, per_witness_lower_bound, powered_choquet_norm, slice_paint, tilings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +11,12 @@ from choquet.lattice import (
     GridFunction,
     LatticeConfig,
     Tiling,
+    children,
     indicator,
     measure_of_cube,
     validate_tiling,
 )
+from choquet import spaces, young
 from choquet.maximal import fractional_measure_maximal
 from choquet.spaces import (
     InadmissibleMeasureError,
@@ -29,7 +32,7 @@ from choquet.spaces import (
     space_norm,
     tiling_orlicz_morrey_norm,
 )
-from choquet.young import ExpM1, Identity, LlogL, Power, luxemburg_norm, luxemburg_norm_table
+from choquet.young import ExpM1, Identity, LlogL, Power, PowerConjugate, luxemburg_norm, luxemburg_norm_table
 
 ROOT1 = CubeId(0, (0,))
 LEAVES = lambda cfg: Tiling([CubeId(cfg.L, (j,)) for j in range(2**cfg.L)])
@@ -319,6 +322,67 @@ def test_associate_lower_bound_basics(rng):
     assert associate_lower_bound(f, spec, 30, 7) == many
     with pytest.raises(ValueError):
         associate_lower_bound(f, spec, 0, 7)
+
+
+def _associate_specs(cfg):
+    """One spec per `SpaceSpec` tag, on the tiling by the root's children."""
+    halves = Tiling(sorted(children(cfg, CubeId(0, (0,) * cfg.n)), key=lambda q: q.index))
+    return [
+        SpaceSpec("morrey", p=2.0),
+        SpaceSpec("orlicz_morrey", p=2.0, phi=LlogL()),
+        SpaceSpec("orlicz_morrey_inf", phi=ExpM1()),
+        SpaceSpec("block", p=1.5, phi=LlogL(), tiling=halves),
+        SpaceSpec("tiling_orlicz_morrey", p=2.0, phi=ExpM1(), tiling=halves),
+        SpaceSpec("orlicz_morrey_inf", phi=PowerConjugate(2.0)),
+    ]
+
+
+@pytest.mark.parametrize("n, L", [(1, 6), (2, 4), (3, 2)])
+def test_associate_lower_bound_matches_per_witness_loop(n, L, monkeypatch):
+    # the witnesses' tables solved together against each solved on its own;
+    # |f| itself is usually the best witness, so every witness's norm and
+    # pairing is compared too, in order
+    cfg = LatticeConfig(n, L, n / 2)
+    rng = np.random.default_rng(10 * n + L)
+    functions = [GridFunction(cfg, np.exp(rng.normal(0.0, 1.5, cfg.num_cells)) * (rng.random(cfg.num_cells) < 0.6)),
+                 GridFunction.zeros(cfg)]
+    calls = {spaces: [], conftest: []}
+
+    def recording(fn, log):
+        def call(*args):
+            log.append(fn(*args))
+            return log[-1]
+        return call
+
+    for module, log in calls.items():
+        for name, fn in [("space_norm", space_norm), ("pairing", pairing)]:
+            monkeypatch.setattr(module, name, recording(fn, log))
+    for spec in _associate_specs(cfg):
+        for f in functions:
+            for witnesses, seed in [(24, 3), (7, 11)]:
+                assert associate_lower_bound(f, spec, witnesses, seed) == per_witness_lower_bound(f, spec, witnesses, seed)
+                assert calls[spaces] == calls[conftest] != []
+                for log in calls.values():
+                    log.clear()
+
+
+@pytest.mark.parametrize("spec", [SpaceSpec("sobolev", p=2.0, phi=ExpM1()), SpaceSpec("orlicz_morrey", p=2.0),
+                                  SpaceSpec("block", phi=LlogL())], ids=["unknown_tag", "missing_phi", "missing_p_tiling"])
+def test_associate_lower_bound_checks_spec_first(spec, monkeypatch):
+    # a bad spec fails as in space_norm, before a witness or a table exists
+    f = GridFunction(LatticeConfig(1, 3, 0.5), np.arange(8.0))
+    with pytest.raises(ValueError) as want:
+        space_norm(f, spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew a witness or built a table")
+
+    monkeypatch.setattr(spaces, "_witnesses", forbidden)
+    monkeypatch.setattr(spaces, "luxemburg_norm_tables", forbidden)
+    monkeypatch.setattr(young, "_luxemburg_rows", forbidden)
+    with pytest.raises(ValueError) as got:
+        associate_lower_bound(f, spec, 24, 1)
+    assert str(got.value) == str(want.value)
 
 
 def test_enumerate_tilings_counts():
