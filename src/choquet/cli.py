@@ -28,7 +28,7 @@ from .sparse import (
     unboundedness_demo,
     verify_sparse,
 )
-from .spaces import SpaceSpec, space_norm
+from .spaces import _SPACES, SpaceSpec, space_norm
 from .young import by_name, luxemburg_norm
 
 USAGE_ERROR = 2
@@ -108,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="space norm of a grid function")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--space", required=True,
-                   choices=["morrey", "orlicz_morrey", "orlicz_morrey_inf", "block", "tiling_orlicz_morrey"])
+    p.add_argument("--space", required=True, choices=list(_SPACES))
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--phi", default=None)
     p.add_argument("--tiling", default=None, help='space-separated cube addresses')

@@ -96,7 +96,10 @@ def _as_occupancy(E: GridFunction) -> np.ndarray:
 
 
 def hausdorff_content_value(config: LatticeConfig, occ_grid: np.ndarray) -> float:
-    """Content of an occupancy grid, value only (no cover extraction)."""
+    """Content of an occupancy grid shaped `config.grid_shape` (ValueError
+    otherwise), value only (no cover extraction)."""
+    if np.shape(occ_grid) != config.grid_shape:
+        raise ValueError(f"occupancy grid of shape {np.shape(occ_grid)} on a lattice of shape {config.grid_shape}")
     costs, _ = _cost_tables(config, occ_grid)
     return float(costs[0].reshape(-1)[0])
 

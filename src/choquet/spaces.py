@@ -165,6 +165,8 @@ def dual_witness(
     if not p > 1:
         raise ValueError(f"exponent must satisfy p > 1, got {p}")
     config = f.config
+    if mu.config != config:
+        raise ValueError("dual witness requires f and mu on a common lattice")
     masks = _require_tiling(config, t)
     _check_admissible(mu)
     phibar = phi.complementary()
@@ -181,9 +183,8 @@ def dual_witness(
     F = GridFunction(config, paint(masks, scale) * fq)
     # the tiles are disjoint, so F restricted to a tile is that tile's F_Q:
     # one solve over the tiles' leaf blocks, rows in (level, index) order
-    blocks = [cube_blocks(F.grid, k)[m.reshape(-1)] for k, m in enumerate(masks) if m.any()]
-    certs = _luxemburg_rows(phibar, np.concatenate([b.reshape(-1) for b in blocks]),
-                            np.concatenate([np.full(b.shape[0], b.shape[1]) for b in blocks]))
+    certs = np.concatenate(_luxemburg_rows(phibar, [cube_blocks(F.grid, k)[m.reshape(-1)]
+                                                    for k, m in enumerate(masks) if m.any()]))
     tiles = [(q, float(norms[q.level][q.index])) for q in t]
     return DualWitness(F, tuple((q, q.side**alpha * float(c) if a > 0.0 else 0.0, a)
                                 for (q, a), c in zip(tiles, certs)))

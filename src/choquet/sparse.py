@@ -177,9 +177,9 @@ def cantor_family(c: CantorConfig, L: int | None = None) -> CantorFamily:
 
 
 def cantor_content(c: CantorConfig, k: int, L: int | None = None) -> float:
-    """Content of the stage-k set; exactly 1 in snapped mode."""
-    if k > c.K:
-        raise ValueError(f"stage {k} exceeds depth {c.K}")
+    """Content of the stage-k set, 0 <= k <= K; exactly 1 in snapped mode."""
+    if not 0 <= k <= c.K:
+        raise ValueError(f"stage {k} outside 0..{c.K}")
     fam = cantor_family(c, L)
     E = fam.stage_indicator(k)
     return hausdorff_content_value(fam.config, E.grid > 0.5)

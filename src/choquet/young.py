@@ -10,24 +10,25 @@ a finite threshold (the complementary of the identity is the canonical
 example), and Phi-averages propagate +inf deterministically.
 
 Luxemburg norms inf{lam : mean Phi(|f|/lam) <= 1} have one solver behind
-`luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`.  Its rows
-are segments of one flat array with a length per row, summed by
-`np.add.reduceat`.  One table of power forms Phi = c t^r (the identity's
-conjugate is r = inf) gives the identity, powers and their conjugates both
-norms in closed form; every other Phi takes a Newton iteration on
-s -> mean Phi(s|f|) inside a bisection bracket.  Each row stops on its own
-and its sums read its own entries only, so a cube's norm does not depend on
-which cubes share its solve: a table, one array per level shaped like
-`pyramid`'s, solves its levels at once (a few at a time on large lattices)
-and still equals the single-cube value.  The tables of several functions on
-one lattice (`luxemburg_norm_tables`, as for the witnesses of an associate
-bound) share one segmented solve the same way.  Each Newton step asks Phi
-and Phi' together (`value_and_deriv`), so t log(e + t) takes one log.  The
-Amemiya norm inf_s s(1 + mean Phi(|f|/s)) goes through the same solver,
-with Psi(t) = t Phi'(t) - Phi(t).
+`luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`: a list
+of 2-D row blocks in (a cube, table levels, a dual witness's tiles), one
+read-only array of row norms per block out.  All rows are segments of one
+flat array, summed by `np.add.reduceat`.  Power forms Phi = c t^r (the
+identity's conjugate is r = inf) have both norms in closed form; every
+other Phi takes a Newton iteration on s -> mean Phi(s|f|) inside a
+bisection bracket, or bisection alone when Phi's class defines no `deriv`
+(decided once per solve).  Each row stops on its own and sums its own
+entries only, so a cube's norm does not depend on which rows share its
+solve: a table (one array per level, shaped like `pyramid`'s) and the
+tables of several functions on one lattice (`luxemburg_norm_tables`) equal
+the single-cube values.  Each Newton step asks Phi and Phi' together
+(`value_and_deriv`), so t log(e + t) takes one log.  The Amemiya norm
+inf_s s(1 + mean Phi(|f|/s)) solves the same way for Psi = t Phi' - Phi.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -343,18 +344,24 @@ def complementary(phi: YoungFunction) -> YoungFunction:
 
 
 def by_name(name: str) -> YoungFunction:
-    """Resolve CLI/config names: identity, power:p, llogl, expm1, conjugate:<name>."""
+    """Resolve CLI/config names: identity, power:p, llogl, expm1, conjugate:<name>.
+    The conjugate: prefixes are stripped in a loop, so any number resolves."""
+    depth = 0
+    while name.startswith("conjugate:"):
+        name, depth = name[len("conjugate:"):], depth + 1
     if name == "identity":
-        return Identity()
-    if name == "llogl":
-        return LlogL()
-    if name == "expm1":
-        return ExpM1()
-    if name.startswith("power:"):
-        return Power(float(name.split(":", 1)[1]))
-    if name.startswith("conjugate:"):
-        return by_name(name.split(":", 1)[1]).complementary()
-    raise ValueError(f"unknown Young function {name!r}")
+        phi = Identity()
+    elif name == "llogl":
+        phi = LlogL()
+    elif name == "expm1":
+        phi = ExpM1()
+    elif name.startswith("power:"):
+        phi = Power(float(name.split(":", 1)[1]))
+    else:
+        raise ValueError(f"unknown Young function {name!r}")
+    for _ in range(depth):
+        phi = phi.complementary()
+    return phi
 
 
 def _phi_means(phi: YoungFunction, x: np.ndarray, phix: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -388,23 +395,16 @@ _POWER_FORMS = {
 
 def _step_means(phi: YoungFunction, w: np.ndarray, s: np.ndarray, starts: np.ndarray, lens: np.ndarray,
                 newton: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """G(s) - 1 = mean Phi(s w) - 1 on each segment and, with `newton`, its
-    slope mean w Phi'(s w), from one `value_and_deriv` call; the slope is
-    None when Phi has no `deriv`.  The per-entry arrays of a step live in
-    this frame alone, so they are freed before the next step's."""
+    """G(s) - 1 = mean Phi(s w) - 1 on each segment and, with `newton` (set
+    once per solve from Phi's class), its slope mean w Phi'(s w) from the
+    same `value_and_deriv` call, else None.  The per-entry arrays of a step
+    live in this frame alone, so they are freed before the next step's."""
     x = np.repeat(s, lens)
     x *= w
-    dphi = None
-    if newton:
-        try:
-            phix, dphi = phi.value_and_deriv(x)
-        except NotImplementedError:
-            pass
-    if dphi is None:
-        phix = phi(x)
+    if not newton:
+        return _phi_means(phi, x, phi(x), starts, lens) - 1.0, None
+    phix, dphi = phi.value_and_deriv(x)
     g = _phi_means(phi, x, phix, starts, lens) - 1.0
-    if dphi is None:
-        return g, None
     del x, phix  # the slope's product reuses their memory
     return g, np.add.reduceat(w * dphi, starts) / lens
 
@@ -421,21 +421,21 @@ def _unit_roots(phi: YoungFunction, w: np.ndarray, lens: np.ndarray) -> np.ndarr
     bracket instead when the Newton step is not finite, leaves the bracket,
     more than doubles s, or is over half the step before last (so a slow
     linear phase, as for e^t far right of the root, still halves the
-    bracket), and always when Phi has no `deriv`.  A segment leaves the
-    active set once its step or its bracket is within the tolerance.  Its
-    sums are `reduceat` over its own entries, so its answer depends on its
-    values alone, not on the segments solved beside it."""
+    bracket), and always when Phi's class defines no `deriv` of its own
+    (decided before the first step).  A segment leaves the active set once
+    its step or its bracket is within the tolerance.  Its sums are
+    `reduceat` over its own entries, so its answer depends on its values
+    alone, not on the segments solved beside it."""
     out = np.empty(len(lens))
     idx = np.arange(len(lens))
     starts = lens.cumsum() - lens
     s = np.ones(len(lens))
     lo, hi = np.zeros_like(s), np.full_like(s, np.inf)
     last, before_last = hi.copy(), hi.copy()
-    newton = True
+    newton = type(phi).deriv is not YoungFunction.deriv
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_LUX_MAX_STEPS):
             g, slope = _step_means(phi, w, s, starts, lens, newton)
-            newton = slope is not None
             over = g > 0.0
             lo, hi = np.where(over, lo, s), np.where(over, s, hi)
             new = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
@@ -461,50 +461,50 @@ def _unit_roots(phi: YoungFunction, w: np.ndarray, lens: np.ndarray) -> np.ndarr
     raise LuxemburgConvergenceError(f"root not found in {_LUX_MAX_STEPS} steps")
 
 
-def _luxemburg_rows(phi: YoungFunction, vals: np.ndarray, lens: np.ndarray | None = None) -> np.ndarray:
-    """Luxemburg norm of each row of `vals`: the rows of a 2-D array, or with
-    `lens`, the consecutive segments of a flat array with those lengths.
-    Each row is divided by its largest |entry| m first, so no power
-    overflows.  For Phi = c t^r the norm is m (c mean w^r)^(1/r), and m
-    itself at r = inf; otherwise it is m / s with s from `_unit_roots`.
-    c <= 1 in every power form, so only m / s can pass the float range:
-    that is a ValueError, not inf."""
-    if lens is None:
-        lens = np.full(vals.shape[0], vals.shape[1])
-    # Each copy of the entries is bound to `vals` and frees the one before,
-    # a temporary input included.
-    vals = np.abs(vals).reshape(-1)
+def _luxemburg_rows(phi: YoungFunction, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Luxemburg norm of each row of each 2-D block in `blocks`: one
+    read-only array of row norms per block.  Every row is a segment of one
+    flat copy of all the entries, solved together.  Each row is divided by
+    its largest |entry| m first, so no power overflows.  For Phi = c t^r the
+    norm is m (c mean w^r)^(1/r), and m itself at r = inf; otherwise it is
+    m / s with s from `_unit_roots`.  c <= 1 in every power form, so only
+    m / s can pass the float range: that is a ValueError, not inf."""
+    rows = [len(b) for b in blocks]
+    lens = np.array([b.shape[1] for b in blocks]).repeat(rows)
+    # Each later copy of the entries is bound to `vals` and frees the one before.
+    vals = np.concatenate(blocks, axis=None)
+    np.abs(vals, out=vals)
     mx = np.maximum.reduceat(vals, lens.cumsum() - lens)
     out = np.zeros(len(lens))
     active = mx > 0.0
-    if not active.any():
-        return out
-    m = mx[active]
-    vals = vals[np.repeat(active, lens)]
-    lens = lens[active]
-    vals /= np.repeat(m, lens)
-    form = _POWER_FORMS.get(type(phi))
-    if form is not None:
-        c, r = form(phi)
-        out[active] = m if np.isinf(r) else m * (c * np.add.reduceat(vals**r, lens.cumsum() - lens) / lens) ** (1.0 / r)
-        return out
-    # A one-entry row scales to [1]: solve the first one, copy it to the rest.
-    single = np.flatnonzero(lens == 1)
-    solve = np.ones(len(lens), dtype=bool)
-    solve[single[1:]] = False
-    unit = np.empty(len(lens))
-    unit[solve] = _unit_roots(phi, vals[np.repeat(solve, lens)], lens[solve])
-    unit[single] = unit[single[:1]]
-    with np.errstate(over="ignore"):
-        out[active] = m / unit
-    if np.isinf(out).any():
-        raise ValueError("Luxemburg norm beyond the float range")
-    return out
+    if active.any():
+        m = mx[active]
+        vals = vals[np.repeat(active, lens)]
+        lens = lens[active]
+        vals /= np.repeat(m, lens)
+        form = _POWER_FORMS.get(type(phi))
+        if form is not None:
+            c, r = form(phi)
+            out[active] = m if np.isinf(r) else m * (c * np.add.reduceat(vals**r, lens.cumsum() - lens) / lens) ** (1.0 / r)
+        else:
+            # A one-entry row scales to [1]: solve the first one, copy it to the rest.
+            single = np.flatnonzero(lens == 1)
+            solve = np.ones(len(lens), dtype=bool)
+            solve[single[1:]] = False
+            unit = np.empty(len(lens))
+            unit[solve] = _unit_roots(phi, vals[np.repeat(solve, lens)], lens[solve])
+            unit[single] = unit[single[:1]]
+            with np.errstate(over="ignore"):
+                out[active] = m / unit
+            if np.isinf(out).any():
+                raise ValueError("Luxemburg norm beyond the float range")
+    out.flags.writeable = False  # and so every block's view of it
+    return [out[end - r : end] for r, end in zip(rows, accumulate(rows))]
 
 
 def luxemburg_norm(f: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     """The Phi-average over q: inf{lam > 0 : mean of Phi(|f|/lam) over q <= 1}."""
-    return float(_luxemburg_rows(phi, f.restrict(q).reshape(1, -1))[0])
+    return float(_luxemburg_rows(phi, [f.restrict(q).reshape(1, -1)])[0][0])
 
 
 # Levels of one table or of many join one solve while the group's flat
@@ -541,12 +541,8 @@ def luxemburg_norm_tables(fs, phi: YoungFunction) -> list[list[np.ndarray]]:
         per_solve = max(1, _LUX_GROUP_ENTRIES // cells)
         levels = []
         for group in (blocks[i : i + per_solve] for i in range(0, len(blocks), per_solve)):
-            rows = [2 ** (n * k) for _, k in group]
-            lens = np.repeat([cells // r for r in rows], rows)
-            norms = _luxemburg_rows(phi, np.concatenate([cube_blocks(f.grid, k).reshape(-1) for f, k in group]), lens)
-            norms.flags.writeable = False  # and so every level's view of it
-            ends = np.cumsum(rows).tolist()
-            levels += [norms[end - r : end].reshape((2**k,) * n) for (_, k), r, end in zip(group, rows, ends)]
+            norms = _luxemburg_rows(phi, [cube_blocks(f.grid, k) for f, k in group])
+            levels += [a.reshape((2**k,) * n) for a, (_, k) in zip(norms, group)]
         for i, f in enumerate(todo):
             f._lux_tables[key] = levels[i * (L + 1) : (i + 1) * (L + 1)]
     return [f._lux_tables[key] for f in fs]
@@ -607,8 +603,8 @@ def check_nabla2(phi: YoungFunction, t_min: float = 0.0) -> dict:
 
 
 class _AmemiyaPsi(YoungFunction):
-    """Psi(t) = t Phi'(t) - Phi(t), nondecreasing since Psi' = t Phi''.  It
-    has no `deriv`, so `_unit_roots` bisects on it."""
+    """Psi(t) = t Phi'(t) - Phi(t), nondecreasing since Psi' = t Phi''.  Its
+    class defines no `deriv`, so `_unit_roots` bisects on it."""
 
     def __init__(self, phi: YoungFunction):
         self.phi = phi
@@ -635,7 +631,7 @@ def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     if m == 0.0:
         out = 0.0
     elif form is None:
-        s = float(_luxemburg_rows(_AmemiyaPsi(phi), vals)[0])
+        s = float(_luxemburg_rows(_AmemiyaPsi(phi), [vals])[0][0])
         out = s * (1.0 + _phi_mean(phi, vals.reshape(-1) / s))
     else:
         # Phi = c t^r at w = |g| / m: the identity's Psi is 0 (the infimum is

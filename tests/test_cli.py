@@ -75,6 +75,14 @@ def test_luxemburg(capsys, set_file):
     assert float(out) == pytest.approx(2**-0.5, rel=1e-9)
 
 
+def test_luxemburg_deep_conjugate_chain(capsys, grid_file):
+    # 1200 prefixes resolve without recursion, to the same Phi as two
+    code, deep, err = run(capsys, "luxemburg", "-i", grid_file, "--cube", "0:0", "--phi", "conjugate:" * 1200 + "llogl")
+    assert code == 0 and not err
+    code, two, _ = run(capsys, "luxemburg", "-i", grid_file, "--cube", "0:0", "--phi", "conjugate:conjugate:llogl")
+    assert code == 0 and deep == two
+
+
 def test_maximal_hl(capsys, grid_file, tmp_path):
     out_path = tmp_path / "m.json"
     code, _, _ = run(capsys, "maximal", "hl", "-i", grid_file, "-o", out_path)

@@ -112,6 +112,13 @@ def test_cover_is_valid_and_achieves_value(rng):
         assert cost == pytest.approx(r.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("config, shape", [(LatticeConfig(1, 3, 0.5), (4,)), (LatticeConfig(1, 2, 0.5), (8,)),
+                                           (LatticeConfig(2, 2, 1.0), (16,)), (LatticeConfig(2, 2, 1.0), (4, 2))])
+def test_content_value_rejects_grid_of_another_shape(config, shape):
+    with pytest.raises(ValueError, match="shape"):
+        hausdorff_content_value(config, np.ones(shape, dtype=bool))
+
+
 @pytest.mark.parametrize("d", [0.3, 0.5, 0.9])
 def test_content_matches_brute_force_enumeration(d, rng):
     cfg = LatticeConfig(1, 3, d)

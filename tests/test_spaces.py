@@ -195,6 +195,15 @@ def test_dual_witness_rejects_inadmissible():
     assert err.value.cube is not None
 
 
+@pytest.mark.parametrize("mu_config", [LatticeConfig(1, 3, 0.25), LatticeConfig(1, 2, 0.5)], ids=["other_d", "other_L"])
+def test_dual_witness_needs_mu_on_the_lattice_of_f(mu_config):
+    # a measure on another lattice is refused, not checked against its own d
+    f = GridFunction(LatticeConfig(1, 3, 0.5), np.arange(1.0, 9.0))
+    mu = GridFunction.constant(mu_config, 0.5)
+    with pytest.raises(ValueError, match="common lattice"):
+        dual_witness(f, mu, 2.0, Power(2), Tiling([ROOT1]))
+
+
 def test_dual_witness_rejects_negative_density():
     cfg = LatticeConfig(1, 2, 0.5)
     f = GridFunction.constant(cfg, 1.0)

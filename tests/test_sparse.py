@@ -182,6 +182,12 @@ def test_cantor_content_is_one():
             assert cantor_content(c, k, L) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [-1, -5, 4])
+def test_cantor_content_rejects_stage_outside_range(k):
+    with pytest.raises(ValueError, match="outside 0..3"):
+        cantor_content(CantorConfig(1, 2, 3), k)
+
+
 def test_cantor_stage_content_via_general_engine():
     c = CantorConfig(1, 2, 2)
     fam = cantor_family(c, 8)

@@ -124,6 +124,24 @@ def test_by_name():
         by_name("nope")
 
 
+@pytest.mark.parametrize("base", ["identity", "llogl", "expm1", "power:2.5"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 1200])
+def test_by_name_any_number_of_conjugates(base, depth):
+    # the prefixes come off in a loop: each one is one .complementary()
+    want = by_name(base)
+    for _ in range(depth):
+        want = want.complementary()
+    got = by_name("conjugate:" * depth + base)
+    assert got._cache_key() == want._cache_key()
+
+
+@pytest.mark.parametrize("name", ["conjugate:nope", "conjugate:" * 1200 + "nope", "conjugate:"], ids=["one", "many", "empty"])
+def test_by_name_unknown_names_the_base(name):
+    base = name.replace("conjugate:", "")
+    with pytest.raises(ValueError, match=f"unknown Young function {base!r}$"):
+        by_name(name)
+
+
 def test_numeric_conjugate_matches_closed_form():
     num = numeric_conjugate(Power(2))
     exact = PowerConjugate(2)
@@ -343,7 +361,7 @@ def test_luxemburg_table_equals_level_rows(f, phi):
     grid = np.abs(f.grid)
     for k, norms in enumerate(luxemburg_norm_table(f, phi)):
         assert norms.shape == (2**k,) * f.config.n
-        assert list(norms.reshape(-1)) == list(_luxemburg_rows(phi, cube_blocks(grid, k)))
+        assert list(norms.reshape(-1)) == list(_luxemburg_rows(phi, [cube_blocks(grid, k)])[0])
 
 
 @pytest.mark.parametrize("phi", [Identity(), IdentityConjugate(), Power(2.5), PowerConjugate(2.5), LlogL(),
@@ -367,7 +385,7 @@ def test_luxemburg_table_split_into_groups(phi):
     f = GridFunction(cfg, np.exp(rng.normal(0.0, 2.0, cfg.num_cells)) * (rng.random(cfg.num_cells) < 0.8))
     table = luxemburg_norm_table(f, phi)
     for k, norms in enumerate(table):
-        assert list(norms.reshape(-1)) == list(_luxemburg_rows(phi, cube_blocks(np.abs(f.grid), k)))
+        assert list(norms.reshape(-1)) == list(_luxemburg_rows(phi, [cube_blocks(np.abs(f.grid), k)])[0])
     for q in list(all_cubes(f.config))[::53]:
         assert luxemburg_norm(f, q, phi) == table[q.level][q.index], q
 
@@ -375,13 +393,20 @@ def test_luxemburg_table_split_into_groups(phi):
 @oracle_settings
 @given(lattice_functions(), builtin_phis(), st.integers(0, 6), st.integers(0, 2**32 - 1))
 def test_luxemburg_row_does_not_depend_on_batch(f, phi, level, seed):
-    # f's level-k cubes solved alone and inside a batch of unrelated rows
-    rows = cube_blocks(np.abs(f.grid), min(level, f.config.L))
+    # f's level-k cubes solved alone and as the middle block of unrelated
+    # rows of another width; every returned array is read-only, and the
+    # input blocks are left as they were
+    rows = -cube_blocks(f.grid, min(level, f.config.L))
+    given_rows = rows.copy()
     rng = np.random.default_rng(seed)
-    others = np.exp(rng.normal(0.0, 3.0, (5, rows.shape[1]))) * (rng.random((5, rows.shape[1])) < 0.7)
-    batch = _luxemburg_rows(phi, np.vstack([others, rows, others]))
-    alone = [_luxemburg_rows(phi, row[None, :])[0] for row in rows]
-    assert list(batch[len(others): len(others) + len(rows)]) == alone
+    others = np.exp(rng.normal(0.0, 3.0, (5, rows.shape[1] + 1))) * (rng.random((5, rows.shape[1] + 1)) < 0.7)
+    batch = _luxemburg_rows(phi, [others, rows, others])
+    alone = [_luxemburg_rows(phi, [row[None, :]]) for row in rows]
+    assert [len(a) for a in batch] == [len(others), len(rows), len(others)]
+    assert list(batch[1]) == [a[0][0] for a in alone]
+    assert np.array_equal(batch[0], batch[2])
+    assert not any(a.flags.writeable for a in batch + sum(alone, []))
+    assert np.array_equal(rows, given_rows)
 
 
 @oracle_settings
@@ -435,9 +460,9 @@ def test_luxemburg_norm_tables_equal_each_table_alone(batch, phi):
     before = {i: luxemburg_norm_table(fns[i], phi) for i in cached}
     solves = []
 
-    def counted(phi, vals, lens):
-        solves.append(len(lens))
-        return _luxemburg_rows(phi, vals, lens)
+    def counted(phi, blocks):
+        solves.append(sum(len(b) for b in blocks))
+        return _luxemburg_rows(phi, blocks)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(young, "_luxemburg_rows", counted)
@@ -525,6 +550,35 @@ def test_luxemburg_without_deriv_bisects():
         for got, want in zip(luxemburg_norm_table(f, Cube()), luxemburg_norm_table(f, Power(3))):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
         _assert_table_is_single_cube(f, Cube())
+
+
+def test_luxemburg_without_deriv_calls_phi_once_per_step(monkeypatch):
+    # the mode is read off Phi's class: a Phi with no deriv of its own is
+    # asked once per step and never for value_and_deriv
+    class CountedCube(YoungFunction):
+        name = "counted_cube"
+        calls = 0
+
+        def __call__(self, t):
+            CountedCube.calls += 1
+            return np.asarray(t, dtype=float) ** 3
+
+        def value_and_deriv(self, t):
+            raise AssertionError("value_and_deriv asked of a Phi without deriv")
+
+    step_means, steps = young._step_means, []
+
+    def counted(*args):
+        steps.append(args[-1])  # the newton flag
+        return step_means(*args)
+
+    monkeypatch.setattr(young, "_step_means", counted)
+    cfg = LatticeConfig(2, 3, 1.0)
+    f = GridFunction(cfg, np.exp(np.random.default_rng(6).normal(0.0, 2.0, cfg.num_cells)))
+    got = luxemburg_norm_table(f, CountedCube())
+    assert steps and not any(steps) and CountedCube.calls == len(steps)
+    for a, b in zip(got, luxemburg_norm_table(f, Power(3))):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("phi", [LlogL(), ExpM1()], ids=["llogl", "expm1"])
