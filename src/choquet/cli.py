@@ -251,6 +251,9 @@ def _dispatch(args) -> int:
         if args.n is None:
             raise ValueError("cantor commands need --n")
         c = CantorConfig(args.n, args.m, args.depth)
+        # The construction fixes d = n/m; a flag may only repeat it.
+        if args.d is not None and args.d != c.d:
+            raise ValueError(f"--d {args.d} does not match d=n/m={c.d} of the Cantor construction")
         if args.action == "family":
             fam = cantor_family(c, args.L)
             _emit(args, fam.family.to_json_dict())

@@ -31,7 +31,6 @@ from .lattice import (
     GridFunction,
     LatticeConfig,
     Tiling,
-    all_cubes,
     children,
     coarsen,
     level_masks,
@@ -141,11 +140,18 @@ def _random_tiling(rng: np.random.Generator, config: LatticeConfig) -> Tiling:
 def _random_sparse_family(rng: np.random.Generator, config: LatticeConfig, eta: float) -> SparseFamily:
     """Random subtree selection, thinned until the canonical-witness check
     clears the target sparseness."""
-    pool = list(all_cubes(config, max_level=min(config.L, 4)))
-    count = int(rng.integers(1, min(12, len(pool)) + 1))
-    picks = rng.choice(len(pool), size=count, replace=False)
-    cubes = {pool[i] for i in picks}
-    cubes.add(CubeId(0, (0,) * config.n))
+    # Cube indices run over levels 0..min(L, 4), coarsest first, level k a
+    # run of 2^(nk) indices in `np.ndindex` order, as `all_cubes` lists them.
+    n, top = config.n, min(config.L, 4)
+    pool = (2 ** (n * (top + 1)) - 1) // (2**n - 1)
+    count = int(rng.integers(1, min(12, pool) + 1))
+    cubes = set()
+    for i in rng.choice(pool, size=count, replace=False).tolist():
+        k = 0
+        while i >= 2 ** (n * k):
+            i, k = i - 2 ** (n * k), k + 1
+        cubes.add(CubeId(k, np.unravel_index(i, (2**k,) * n)))
+    cubes.add(CubeId(0, (0,) * n))
     while True:
         fam = SparseFamily(cubes, eta)
         report = verify_sparse(config, fam)
@@ -184,8 +190,8 @@ class SuiteContext:
     def rng_for(self, trial: int, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng([self.seed, trial, salt])
 
-    def instance(self, kind: str, trial: int, salt: int = 0, **kw):
-        return random_instance(kind, self.config, [self.seed, trial, salt], **kw)
+    def instance(self, kind: str, trial: int, salt: int = 0):
+        return random_instance(kind, self.config, [self.seed, trial, salt])
 
 
 def _max_ratio(results):

@@ -3,7 +3,10 @@
 Built-ins: identity t, powers t^p, t*log(e+t), and e^t - 1.  Each built-in
 registers a closed-form complementary; `numeric_conjugate` provides the
 grid-based Legendre transform for cross-checking and for Young functions
-without a registered pair.
+without a registered pair.  The identity, the powers and their conjugates
+are power forms Phi = c t^r: each declares (c, r) on `_PowerForm`, which
+writes Phi and Phi' once.  The identity's conjugate keeps its own Phi and
+Phi' and declares r = inf.
 
 Extended-real values are first-class: a Young function may be +inf beyond
 a finite threshold (the complementary of the identity is the canonical
@@ -13,17 +16,18 @@ Luxemburg norms inf{lam : mean Phi(|f|/lam) <= 1} have one solver behind
 `luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`: a list
 of 2-D row blocks in (a cube, table levels, a dual witness's tiles), one
 read-only array of row norms per block out.  All rows are segments of one
-flat array, summed by `np.add.reduceat`.  Power forms Phi = c t^r (the
-identity's conjugate is r = inf) have both norms in closed form; every
-other Phi takes a Newton iteration on s -> mean Phi(s|f|) inside a
-bisection bracket, or bisection alone when Phi's class defines no `deriv`
-(decided once per solve).  Each row stops on its own and sums its own
-entries only, so a cube's norm does not depend on which rows share its
-solve: a table (one array per level, shaped like `pyramid`'s) and the
-tables of several functions on one lattice (`luxemburg_norm_tables`) equal
-the single-cube values.  Each Newton step asks Phi and Phi' together
-(`value_and_deriv`), so t log(e + t) takes one log.  The Amemiya norm
-inf_s s(1 + mean Phi(|f|/s)) solves the same way for Psi = t Phi' - Phi.
+flat array, summed by `np.add.reduceat`.  For the four power-form types
+(the exact types: a subclass may override Phi) both norms are closed
+forms in (phi.c, phi.r); every other Phi takes a Newton iteration on
+s -> mean Phi(s|f|) inside a bisection bracket, or bisection alone when
+Phi's class defines no `deriv` (decided once per solve).  Each row stops
+on its own and sums its own entries only, so a cube's norm does not
+depend on which rows share its solve: a table (one array per level,
+shaped like `pyramid`'s) and the tables of several functions on one
+lattice (`luxemburg_norm_tables`) equal the single-cube values.  Phi and
+Phi' at the same points come from one `value_and_deriv` call, so
+t log(e + t) takes one log.  The Amemiya norm inf_s s(1 + mean Phi(|f|/s))
+solves the same way for Psi = t Phi' - Phi.
 """
 
 from __future__ import annotations
@@ -101,24 +105,37 @@ class YoungFunction:
         return type(self), params
 
 
-class Identity(YoungFunction):
-    name = "identity"
+def _power_exponent(p) -> float:
+    if not 1.0 < p < np.inf:
+        raise ValueError(f"power exponent must lie in (1, inf), got {p}")
+    return float(p)
+
+
+class _PowerForm(YoungFunction):
+    """Phi(t) = c t^r, with c and r declared by each subclass.  The exact
+    types in `_POWER_FORMS` have both norms in closed form in (c, r)."""
 
     def __call__(self, t):
-        return np.asarray(t, dtype=float)
+        return self.c * np.asarray(t, dtype=float) ** self.r
 
     def deriv(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
+        return self.c * self.r * np.asarray(t, dtype=float) ** (self.r - 1.0)
+
+
+class Identity(_PowerForm):
+    name = "identity"
+    c, r = 1.0, 1.0
 
     def complementary(self):
         return IdentityConjugate()
 
 
 class IdentityConjugate(YoungFunction):
-    """Conjugate of t: zero on [0,1], +inf beyond."""
+    """Conjugate of t: zero on [0,1], +inf beyond; the power form r = inf."""
 
     name = "conjugate:identity"
     finite_threshold = 1.0
+    c, r = 1.0, np.inf
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -134,39 +151,27 @@ class IdentityConjugate(YoungFunction):
         return Identity()
 
 
-class Power(YoungFunction):
+class Power(_PowerForm):
     """Phi(t) = t^p, 1 < p < inf."""
 
+    c = 1.0
+
     def __init__(self, p: float):
-        if not 1.0 < p < np.inf:
-            raise ValueError(f"power exponent must lie in (1, inf), got {p}")
-        self.p = float(p)
+        self.p = self.r = _power_exponent(p)
         self.name = f"power:{self.p:g}"
-
-    def __call__(self, t):
-        return np.asarray(t, dtype=float) ** self.p
-
-    def deriv(self, t):
-        return self.p * np.asarray(t, dtype=float) ** (self.p - 1.0)
 
     def complementary(self):
         return PowerConjugate(self.p)
 
 
-class PowerConjugate(YoungFunction):
-    """Conjugate of t^p: (p-1) p^(-p') s^(p'), p' = p/(p-1)."""
+class PowerConjugate(_PowerForm):
+    """Conjugate of t^p, 1 < p < inf: (p-1) p^(-p') s^(p'), p' = p/(p-1)."""
 
     def __init__(self, p: float):
-        self.p = float(p)
-        self.pprime = p / (p - 1.0)
-        self.coeff = (p - 1.0) * p**-self.pprime
+        self.p = _power_exponent(p)
+        self.r = self.p / (self.p - 1.0)
+        self.c = (self.p - 1.0) * self.p**-self.r
         self.name = f"conjugate:power:{self.p:g}"
-
-    def __call__(self, t):
-        return self.coeff * np.asarray(t, dtype=float) ** self.pprime
-
-    def deriv(self, t):
-        return self.coeff * self.pprime * np.asarray(t, dtype=float) ** (self.pprime - 1.0)
 
     def complementary(self):
         return Power(self.p)
@@ -382,15 +387,9 @@ def _phi_mean(phi: YoungFunction, x: np.ndarray) -> float:
     return float(_phi_means(phi, x, phix, np.zeros(1, dtype=int), np.array([x.size]))[0])
 
 
-# Young functions of the form Phi(t) = c t^r, keyed on the exact type (a
-# subclass may override Phi and goes to the iterative solver): type -> (c, r).
-# The conjugate of the identity, 0 on [0, 1] and +inf beyond, is r = inf.
-_POWER_FORMS = {
-    Identity: lambda phi: (1.0, 1.0),
-    Power: lambda phi: (1.0, phi.p),
-    PowerConjugate: lambda phi: (phi.coeff, phi.pprime),
-    IdentityConjugate: lambda phi: (1.0, np.inf),
-}
+# The exact types whose norms are read off (phi.c, phi.r) in closed form: a
+# subclass may override Phi, so it goes to the iterative solver.
+_POWER_FORMS = (Identity, Power, PowerConjugate, IdentityConjugate)
 
 
 def _step_means(phi: YoungFunction, w: np.ndarray, s: np.ndarray, starts: np.ndarray, lens: np.ndarray,
@@ -482,9 +481,8 @@ def _luxemburg_rows(phi: YoungFunction, blocks: list[np.ndarray]) -> list[np.nda
         vals = vals[np.repeat(active, lens)]
         lens = lens[active]
         vals /= np.repeat(m, lens)
-        form = _POWER_FORMS.get(type(phi))
-        if form is not None:
-            c, r = form(phi)
+        if type(phi) in _POWER_FORMS:
+            c, r = phi.c, phi.r
             out[active] = m if np.isinf(r) else m * (c * np.add.reduceat(vals**r, lens.cumsum() - lens) / lens) ** (1.0 / r)
         else:
             # A one-entry row scales to [1]: solve the first one, copy it to the rest.
@@ -560,9 +558,10 @@ def young_equality_residual(phi: YoungFunction, t: float, phibar: YoungFunction 
     if phibar is None:
         phibar = phi.complementary()
     t = float(t)
-    s = float(phi.deriv(np.array([t]))[0])
+    value, deriv = phi.value_and_deriv(np.array([t]))
+    s = float(deriv[0])
     lhs = t * s
-    rhs = float(phi(np.array([t]))[0]) + float(phibar(np.array([s]))[0])
+    rhs = float(value[0]) + float(phibar(np.array([s]))[0])
     if not np.isfinite(lhs) or not np.isfinite(rhs):
         raise ValueError(f"{phi.name} is not finite/differentiable at t={t}")
     return abs(lhs - rhs)
@@ -603,8 +602,9 @@ def check_nabla2(phi: YoungFunction, t_min: float = 0.0) -> dict:
 
 
 class _AmemiyaPsi(YoungFunction):
-    """Psi(t) = t Phi'(t) - Phi(t), nondecreasing since Psi' = t Phi''.  Its
-    class defines no `deriv`, so `_unit_roots` bisects on it."""
+    """Psi(t) = t Phi'(t) - Phi(t), nondecreasing since Psi' = t Phi'', from
+    one `value_and_deriv` call.  Its class defines no `deriv`, so
+    `_unit_roots` bisects on it."""
 
     def __init__(self, phi: YoungFunction):
         self.phi = phi
@@ -612,7 +612,8 @@ class _AmemiyaPsi(YoungFunction):
         self.finite_threshold = phi.finite_threshold
 
     def __call__(self, t):
-        return t * self.phi.deriv(t) - self.phi(t)
+        value, deriv = self.phi.value_and_deriv(t)
+        return t * deriv - value
 
 
 def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction) -> float:
@@ -627,10 +628,9 @@ def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     """
     vals = np.abs(g.restrict(q)).reshape(1, -1)
     m = float(vals.max())
-    form = _POWER_FORMS.get(type(phi))
     if m == 0.0:
         out = 0.0
-    elif form is None:
+    elif type(phi) not in _POWER_FORMS:
         s = float(_luxemburg_rows(_AmemiyaPsi(phi), [vals])[0][0])
         out = s * (1.0 + _phi_mean(phi, vals.reshape(-1) / s))
     else:
@@ -638,7 +638,7 @@ def amemiya_functional(g: GridFunction, q: CubeId, phi: YoungFunction) -> float:
         # the limit s -> 0, the mean), its conjugate's is 0 then +inf (the
         # minimum is at s = 1), and otherwise s* = ((r-1) c mean w^r)^(1/r)
         # gives s* r/(r-1).
-        c, r = form(phi)
+        c, r = phi.c, phi.r
         w = vals / m
         if r == 1.0:
             out = m * float(np.mean(w))

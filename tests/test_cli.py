@@ -216,6 +216,18 @@ def test_cantor_growth_below_p_one(capsys):
     assert out.strip().splitlines() == [f"{k},{k + 1}.000000000000" for k in range(4)]
 
 
+@pytest.mark.parametrize("action", ["growth", "content", "lux-bound", "family"])
+def test_cantor_d_may_only_repeat_n_over_m(capsys, action):
+    # the construction fixes d = n/m, as a JSON file fixes its lattice
+    cantor = ["cantor", action, "--m", "2", "--depth", "2"]
+    code, out, err = run(capsys, "--n", "1", "--d", "0.3", *cantor)
+    assert code == 2 and out == ""
+    assert "--d 0.3 does not match d=n/m=0.5" in err and "Traceback" not in err
+    want = run(capsys, "--n", "1", *cantor)
+    assert want[0] == 0
+    assert run(capsys, "--n", "1", "--d", "0.5", *cantor) == want
+
+
 def test_verify_pass_and_json(capsys):
     code, out, _ = run(capsys, "--n", "1", "--L", "3", "--d", "0.5",
                        "verify", "adams", "--trials", "5", "--seed", "1")

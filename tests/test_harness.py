@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from choquet.harness import SUITES, Suite, UnknownSuiteError, _ratio, _ratios, random_instance, run_suite
-from choquet.lattice import LatticeConfig, validate_tiling
+from choquet.lattice import CubeId, LatticeConfig, all_cubes, validate_tiling
+from choquet.sparse import SparseFamily, verify_sparse
 
 SMALL = dict(trials=10, L=3, seed=17, n=1, d=0.5)
 
@@ -139,6 +140,29 @@ def test_random_instance_sparse_family():
         fam = random_instance("sparse_family", cfg, seed=[9, s], eta=0.5)
         rep = verify_sparse(cfg, fam)
         assert rep.min_ratio >= 0.5 - 1e-12
+
+
+def _pool_sparse_family(rng, config, eta):
+    """The sparse-family draw that lists the cube pool and indexes it."""
+    pool = list(all_cubes(config, max_level=min(config.L, 4)))
+    count = int(rng.integers(1, min(12, len(pool)) + 1))
+    cubes = {pool[i] for i in rng.choice(len(pool), size=count, replace=False)}
+    cubes.add(CubeId(0, (0,) * config.n))
+    while True:
+        fam = SparseFamily(cubes, eta)
+        report = verify_sparse(config, fam)
+        if report.min_ratio >= eta or len(cubes) == 1:
+            return fam
+        cubes.discard(report.worst_cube)
+
+
+@pytest.mark.parametrize("n, L", [(1, 0), (1, 2), (1, 6), (2, 1), (2, 4), (2, 6), (3, 3)])
+def test_random_sparse_family_equals_pool_draw(n, L):
+    # cube indices mapped by arithmetic pick the cubes the listed pool did
+    cfg = LatticeConfig(n, L, n / 2)
+    for s in range(20):
+        got = random_instance("sparse_family", cfg, seed=[9, s], eta=0.5)
+        assert got == _pool_sparse_family(np.random.default_rng([9, s]), cfg, 0.5), s
 
 
 def test_random_instance_unknown_kind():

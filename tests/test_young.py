@@ -93,6 +93,79 @@ def test_power_conjugate_closed_form():
         assert conj(t) == pytest.approx(np.max(t * s - Power(p)(s)), rel=1e-6)
 
 
+POWER_TS = np.array([0.0, 2.0**-40, 0.5, 1.0, 3.0, 2.0**40])
+
+
+def _power_form_formulas(phi, t):
+    """Phi(t) and Phi'(t) as each power form wrote them out by hand."""
+    if type(phi) is Identity:
+        return np.asarray(t, dtype=float), np.ones_like(np.asarray(t, dtype=float))
+    if type(phi) is IdentityConjugate:
+        return np.where(np.asarray(t) <= 1.0, 0.0, np.inf), np.zeros_like(np.asarray(t, dtype=float))
+    p = phi.p
+    if type(phi) is Power:
+        return np.asarray(t, dtype=float) ** p, p * np.asarray(t, dtype=float) ** (p - 1.0)
+    pprime = p / (p - 1.0)
+    coeff = (p - 1.0) * p**-pprime
+    return (coeff * np.asarray(t, dtype=float) ** pprime,
+            coeff * pprime * np.asarray(t, dtype=float) ** (pprime - 1.0))
+
+
+@pytest.mark.parametrize("phi", [Identity(), IdentityConjugate()]
+                         + [cls(p) for cls in (Power, PowerConjugate) for p in (1.05, 1.5, 2, 2.5, 3.0, 6.0)],
+                         ids=lambda phi: phi.name)
+def test_power_forms_equal_their_formulas(phi):
+    # Phi = c t^r and Phi' = c r t^(r-1) from (c, r), `==` the formulas each class wrote out
+    ts = POWER_TS[POWER_TS < 1.0] if type(phi) is IdentityConjugate else POWER_TS  # Phi' only below 1
+    with np.errstate(over="ignore"):
+        for t in [ts, *ts]:
+            value, deriv = _power_form_formulas(phi, t)
+            assert np.array_equal(phi(t), value) and np.array_equal(phi.deriv(t), deriv), t
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, np.inf, np.nan])
+def test_power_conjugate_needs_exponent_above_one(p):
+    with pytest.raises(ValueError, match=r"power exponent must lie in \(1, inf\)") as conj:
+        PowerConjugate(p)
+    with pytest.raises(ValueError) as power:
+        Power(p)
+    assert str(conj.value) == str(power.value)
+
+
+class _SquareTimesTwo(Power):
+    """A Power subclass with Phi of its own, 2t^2: not a power form by type."""
+
+    def __init__(self):
+        super().__init__(2.0)
+
+    def __call__(self, t):
+        return 2.0 * np.asarray(t, dtype=float) ** 2
+
+    def deriv(self, t):
+        return 4.0 * np.asarray(t, dtype=float)
+
+
+def test_power_subclass_goes_to_iterative_solver(monkeypatch):
+    # the closed forms are read for the exact types alone
+    unit_roots, solves = young._unit_roots, []
+    monkeypatch.setattr(young, "_unit_roots", lambda *args: solves.append(1) or unit_roots(*args))
+    cfg = LatticeConfig(2, 3, 1.0)
+    f = GridFunction(cfg, np.exp(np.random.default_rng(8).normal(0.0, 2.0, cfg.num_cells)))
+    phi = _SquareTimesTwo()
+    table = luxemburg_norm_table(f, phi)
+    assert solves
+    for k, level in enumerate(table):
+        want = bisect_luxemburg_rows(phi, cube_blocks(np.abs(f.grid), k))
+        np.testing.assert_allclose(level.reshape(-1), want, rtol=1e-9, atol=0.0)
+    # mean 2 (f/lam)^2 = 1 at lam = sqrt(2) times Power(2)'s norm
+    np.testing.assert_allclose(table[0], np.sqrt(2.0) * luxemburg_norm_table(f, Power(2))[0], rtol=1e-9)
+    vals = np.abs(f.values)
+    root = CubeId(0, (0, 0))
+    solves.clear()
+    assert amemiya_functional(f, root, phi) == pytest.approx(2.0 * np.sqrt(2.0 * np.mean(vals**2)), rel=1e-9)
+    assert solves
+
+
 def test_identity_conjugate_is_indicator_like():
     conj = Identity().complementary()
     assert isinstance(conj, IdentityConjugate)
@@ -532,6 +605,41 @@ def test_luxemburg_table_same_with_one_call_per_step(fast, separate, n, L):
         f = GridFunction(cfg, values)
         for got, want in zip(luxemburg_norm_table(f, fast), luxemburg_norm_table(f, separate)):
             assert np.array_equal(got, want)
+
+
+class _CountingLlogL(LlogL):
+    """LlogL that counts how it is asked: Phi alone, Phi' alone, or both."""
+
+    def __init__(self):
+        self.calls = {"phi": 0, "deriv": 0, "both": 0}
+
+    def __call__(self, t):
+        self.calls["phi"] += 1
+        return super().__call__(t)
+
+    def deriv(self, t):
+        self.calls["deriv"] += 1
+        return super().deriv(t)
+
+    def value_and_deriv(self, t):
+        self.calls["both"] += 1
+        return super().value_and_deriv(t)
+
+
+def test_phi_and_deriv_at_the_same_points_come_from_one_call():
+    phi = _CountingLlogL()
+    assert young_equality_residual(phi, 2.0, ExpM1()) == young_equality_residual(LlogL(), 2.0, ExpM1())
+    assert phi.calls == {"phi": 0, "deriv": 0, "both": 1}
+    t = np.array([0.0, 0.5, 3.0])
+    phi.calls["both"] = 0
+    assert np.array_equal(young._AmemiyaPsi(phi)(t), young._AmemiyaPsi(LlogL())(t))
+    assert phi.calls == {"phi": 0, "deriv": 0, "both": 1}
+    # Psi once per bisection step, then one mean of Phi at the minimiser
+    cfg = LatticeConfig(1, 3, 0.5)
+    f = GridFunction(cfg, np.random.default_rng(9).random(cfg.num_cells) * 3.0)
+    phi.calls["both"] = 0
+    assert amemiya_functional(f, ROOT1, phi) == amemiya_functional(f, ROOT1, LlogL())
+    assert phi.calls["phi"] == 1 and phi.calls["deriv"] == 0 and phi.calls["both"] > 1
 
 
 def test_luxemburg_without_deriv_bisects():
