@@ -145,7 +145,7 @@ def frostman_measure(E: GridFunction) -> GridFunction:
         scale = np.divide(1.0, child[k], out=np.zeros_like(child[k]), where=child[k] > 0.0)
         mass = refine(mass * scale, 2) * costs[k + 1]
     density = mass / config.cell_volume
-    return GridFunction(config, density.reshape(-1))
+    return GridFunction._adopt(config, density.reshape(-1))
 
 
 def _morton_order(grid: np.ndarray, L: int) -> np.ndarray:

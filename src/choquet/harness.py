@@ -122,7 +122,7 @@ def _random_frostman(rng: np.random.Generator, config: LatticeConfig) -> GridFun
     mask = rng.random(config.num_cells) < max(rng.random(), 2.0 / config.num_cells)
     if not mask.any():
         mask[0] = True
-    return frostman_measure(GridFunction(config, mask.astype(float)))
+    return frostman_measure(GridFunction._adopt(config, mask.astype(float)))
 
 
 def _random_tiling(rng: np.random.Generator, config: LatticeConfig) -> Tiling:
@@ -165,11 +165,11 @@ def random_instance(kind: str, config: LatticeConfig, seed, eta: float = 0.5):
     sparse families.  `seed` may be an int or a sequence of ints."""
     rng = np.random.default_rng(seed)
     if kind == "function":
-        return GridFunction(config, _random_values(rng, config.num_cells))
+        return GridFunction._adopt(config, _random_values(rng, config.num_cells))
     if kind == "density":
         if rng.random() < 0.5:
             return _random_frostman(rng, config)
-        return GridFunction(config, _random_values(rng, config.num_cells))
+        return GridFunction._adopt(config, _random_values(rng, config.num_cells))
     if kind == "tiling":
         return _random_tiling(rng, config)
     if kind == "sparse_family":
@@ -244,7 +244,7 @@ def _adams(ctx: SuiteContext, i: int):
     mu = ctx.instance("density", i, salt=2)
     lhs = pairing(f, mu)
     md = fractional_measure_maximal(mu).values
-    rhs = choquet_integral(GridFunction(ctx.config, f.values * md.values))
+    rhs = choquet_integral(GridFunction._adopt(ctx.config, f.values * md.values))
     return _ratio(lhs, rhs), {"f": f, "mu": mu}
 
 
@@ -266,7 +266,7 @@ def _triangle(ctx: SuiteContext, i: int):
     p = [1.0, 2.0, 4.0][i % 3]
     f = ctx.instance("function", i, salt=1)
     g = ctx.instance("function", i, salt=2)
-    both = GridFunction(ctx.config, f.values + g.values)
+    both = GridFunction._adopt(ctx.config, f.values + g.values)
     return _ratio(choquet_norm(both, p), choquet_norm(f, p) + choquet_norm(g, p)), {"f": f, "g": g, "p": p}
 
 
@@ -275,7 +275,7 @@ def _hoelder(ctx: SuiteContext, i: int):
     pprime = np.inf if p == 1.0 else p / (p - 1.0)
     f = ctx.instance("function", i, salt=1)
     g = ctx.instance("function", i, salt=2)
-    num = choquet_integral(GridFunction(ctx.config, f.values * g.values))
+    num = choquet_integral(GridFunction._adopt(ctx.config, f.values * g.values))
     den = choquet_norm(f, p) * choquet_norm(g, pprime)
     return _ratio(num, den), {"f": f, "g": g, "p": p}
 
@@ -320,7 +320,7 @@ def _young(ctx: SuiteContext, i: int):
         checks["amemiya_upper"] = _ratio(am, 2.0 * b) / (1.0 + _LUX_TOL)
 
     scale = float(np.exp2(rng.uniform(-3.0, 3.0)))
-    h = GridFunction(config, scale * f.values)
+    h = GridFunction._adopt(config, scale * f.values)
     norm_h = luxemburg_norm(h, root, phi)
     mass = float(phi(np.abs(h.values)).mean())
     if 0.0 < norm_h <= 1.0:

@@ -244,13 +244,31 @@ def _mean_pyramid(grid: np.ndarray) -> list[np.ndarray]:
 
 
 class GridFunction:
-    """A step function constant on the 2^(nL) leaf cells of the root cube."""
+    """A step function constant on the 2^(nL) leaf cells of the root cube.
+
+    It owns its values: the constructor copies what it is given, so a
+    caller that later writes to its own array changes neither `values` nor
+    any cached table of this function.  The package's kernels hand over
+    the arrays they have just made through `_adopt`, which keeps them."""
 
     def __init__(self, config: LatticeConfig, values):
         try:
-            values = np.asarray(values, dtype=float).reshape(-1)
+            values = np.array(values, dtype=float)
         except OverflowError:  # a Python int beyond the float range
             raise ValueError("leaf values must be within the float range") from None
+        self._hold(config, values)
+
+    @classmethod
+    def _adopt(cls, config: LatticeConfig, values: np.ndarray) -> "GridFunction":
+        """The GridFunction holding `values` itself, not a copy, when it is
+        a float array: for arrays made by the caller that nothing else
+        holds, so no kernel pays a copy of its own output."""
+        f = cls.__new__(cls)
+        f._hold(config, np.asarray(values, dtype=float))
+        return f
+
+    def _hold(self, config: LatticeConfig, values: np.ndarray) -> None:
+        values = values.reshape(-1)
         if values.size != config.num_cells:
             raise ValueError(f"expected {config.num_cells} leaf values, got {values.size}")
         if not np.isfinite(values).all():
@@ -287,7 +305,7 @@ class GridFunction:
 
     @classmethod
     def constant(cls, config: LatticeConfig, c: float) -> "GridFunction":
-        return cls(config, np.full(config.num_cells, float(c)))
+        return cls._adopt(config, np.full(config.num_cells, float(c)))
 
     @classmethod
     def zeros(cls, config: LatticeConfig) -> "GridFunction":
@@ -357,7 +375,7 @@ class GridFunction:
 def indicator(config: LatticeConfig, cubes) -> GridFunction:
     """Indicator of a union of lattice cubes."""
     masks = level_masks(config, [cubes] if isinstance(cubes, CubeId) else cubes)
-    return GridFunction(config, (paint(masks, [1] * len(masks)) > 0).astype(float))
+    return GridFunction._adopt(config, (paint(masks, [1] * len(masks)) > 0).astype(float))
 
 
 def cell_average(f: GridFunction, q: CubeId) -> float:

@@ -58,7 +58,7 @@ def _sweep(config: LatticeConfig, level_stats: list[np.ndarray]) -> MaximalResul
         best, arg, stat = refine(best, 2), refine(arg, 2), level_stats[k]
         np.maximum(arg, (stat > best) * arg.dtype.type(k), out=arg)
         np.maximum(stat, best, out=best)
-    return MaximalResult(GridFunction(config, best.reshape(-1)), arg.astype(int))
+    return MaximalResult(GridFunction._adopt(config, best.reshape(-1)), arg.astype(int))
 
 
 def hl_maximal(f: GridFunction) -> MaximalResult:

@@ -22,6 +22,7 @@ from .lattice import (
     Tiling,
     _mean_pyramid,
     children,
+    coarsen,
     cube_blocks,
     indicator,
     level_masks,
@@ -30,7 +31,7 @@ from .lattice import (
     validate_masks,
 )
 from .maximal import fractional_measure_maximal, orlicz_fractional_maximal
-from .young import YoungFunction, _luxemburg_rows, luxemburg_norm_table, luxemburg_norm_tables
+from .young import _LUX_GROUP_ENTRIES, YoungFunction, _luxemburg_rows, luxemburg_norm_table
 
 __all__ = [
     "SpaceSpec",
@@ -65,16 +66,77 @@ def morrey_norm(mu: GridFunction, p: float) -> float:
 
 
 def orlicz_morrey_norm(f: GridFunction, p: float, phi: YoungFunction) -> float:
-    """Choquet L^p norm of the fractional Orlicz maximal function; the
-    p = inf branch is the direct sup over all lattice cubes."""
+    """Choquet L^p norm of the fractional Orlicz maximal function.
+
+    At p = inf it is the sup over all lattice cubes Q of side^alpha *
+    ||f||_{Phi,Q}, alpha = n - d, found without solving most cubes.  For
+    convex Phi with Phi(0) = 0, mean_Q|f| / Phi^-1(1) <= ||f||_{Phi,Q} <=
+    max_Q|f| / Phi^-1(1): Jensen gives the left side, and at lam =
+    max/Phi^-1(1) every Phi(|f|/lam) is <= 1, which gives the right
+    (Rao-Ren, Theory of Orlicz Spaces, 1991).  So only a cube whose
+    side^alpha * max reaches the largest side^alpha * mean can attain the
+    sup; Phi^-1(1) is on both sides of that comparison, cancels, and is
+    never computed.  Those candidate cubes are solved by the solver behind
+    `luxemburg_norm_table`, whose rows do not depend on which rows share a
+    solve, so the result is `==` the max over f's whole table (see
+    `_sup_norms`)."""
     if not p > 1:
         raise ValueError(f"Orlicz-Morrey exponent must satisfy p > 1, got {p}")
-    config = f.config
-    alpha = config.n - config.d
     if np.isinf(p):
-        norms = luxemburg_norm_table(f, phi)
-        return max(float(2.0 ** (-k * alpha) * norms[k].max()) for k in range(config.L + 1))
-    return choquet_norm(orlicz_fractional_maximal(f, alpha, phi).values, p)
+        return _sup_norms([f], phi)[0]
+    config = f.config
+    return choquet_norm(orlicz_fractional_maximal(f, config.n - config.d, phi).values, p)
+
+
+# Relative slack in the candidate test, for rounding in the two pyramids.
+_SUP_SLACK = 1e-12
+
+
+def _sup_norms(gs: list[GridFunction], phi: YoungFunction) -> list[float]:
+    """`orlicz_morrey_norm(g, inf, phi)` of each g in gs, all on one lattice.
+
+    The functions are stacked along axis 0, 2^L rows each, so one `coarsen`
+    per level builds all their max and mean pyramids (a pair of rows never
+    spans two functions above the root; means are scaled by 2^-n before
+    each sum, so none overflows).  A candidate's side^alpha * max|g| is > 0
+    and >= (1 - _SUP_SLACK) times the largest side^alpha * mean|g| of its
+    own g.  Candidate rows are gathered level by level from the stack, in
+    `cube_blocks` order, and solved together while a solve stays within
+    `_LUX_GROUP_ENTRIES` entries or one level's rows, so extra memory is
+    O(len(gs) * N).  A cube left out could beat the candidates only where
+    the solver's tolerance reorders two norms that close, and its own norm,
+    never solved, raises nothing beyond the float range."""
+    config = gs[0].config
+    n, L, W = config.n, config.L, len(gs)
+    alpha = n - config.d
+    stack = np.abs(np.concatenate([g.grid for g in gs]))
+    tops, means = [stack], [stack]
+    for _ in range(L):
+        tops.append(coarsen(tops[-1], np.maximum))
+        means.append(coarsen(means[-1] * 0.5**n))
+    side = [2.0 ** (-k * alpha) for k in range(L + 1)]
+    floor = np.max([side[k] * means[L - k].reshape(W, -1).max(axis=1) for k in range(L + 1)], axis=0)
+    best, batch = np.zeros(W), []
+
+    def solve():
+        for (k, owner, _), norms in zip(batch, _luxemburg_rows(phi, [rows for _, _, rows in batch])):
+            np.maximum.at(best, owner, side[k] * norms)
+        batch.clear()
+
+    for k in range(L + 1):
+        upper = side[k] * tops[L - k].reshape((W,) + (2**k,) * n)
+        owner, *index = np.nonzero((upper >= (1.0 - _SUP_SLACK) * floor.reshape((W,) + (1,) * n)) & (upper > 0.0))
+        if not len(owner):
+            continue
+        # level k as (function, i_1, j_1, ..., i_n, j_n): cube i, leaf j in it
+        cubes = stack.reshape((W,) + (2**k, 2 ** (L - k)) * n)
+        rows = cubes[(owner,) + sum(((i, slice(None)) for i in index), ())].reshape(len(owner), -1)
+        if batch and sum(b[2].size for b in batch) + rows.size > _LUX_GROUP_ENTRIES:
+            solve()
+        batch.append((k, owner, rows))
+    if batch:
+        solve()
+    return [float(b) for b in best]
 
 
 def _tile_profile(f: GridFunction, phi: YoungFunction, t: Tiling, alpha: float = 0.0) -> GridFunction:
@@ -82,7 +144,7 @@ def _tile_profile(f: GridFunction, phi: YoungFunction, t: Tiling, alpha: float =
     and Luxemburg norm a."""
     masks = _require_tiling(f.config, t)
     table = luxemburg_norm_table(f, phi)
-    return GridFunction(f.config, paint(masks, [(2.0**-k) ** alpha * a for k, a in enumerate(table)]))
+    return GridFunction._adopt(f.config, paint(masks, [(2.0**-k) ** alpha * a for k, a in enumerate(table)]))
 
 
 def block_norm(f: GridFunction, p: float, phi: YoungFunction, t: Tiling) -> float:
@@ -180,7 +242,7 @@ def dual_witness(
     # per level: a^(p-1) * mu(Q)/|Q| / (1 + mean_Q Phibar(f_Q))
     scale = [ak ** (p - 1.0) * mk / (1.0 + bk)
              for ak, mk, bk in zip(norms, _mean_pyramid(mu.grid), _mean_pyramid(phibar(fq)))]
-    F = GridFunction(config, paint(masks, scale) * fq)
+    F = GridFunction._adopt(config, paint(masks, scale) * fq)
     # the tiles are disjoint, so F restricted to a tile is that tile's F_Q:
     # one solve over the tiles' leaf blocks, rows in (level, index) order
     certs = np.concatenate(_luxemburg_rows(phibar, [cube_blocks(F.grid, k)[m.reshape(-1)]
@@ -237,37 +299,45 @@ def _witnesses(absf: GridFunction, count: int, rng: np.random.Generator):
         elif i == 1 and absf.values.any():
             yield absf  # self-pairing witness, often near-extremal
         elif i % 3 == 1:
-            yield GridFunction(config, rng.random(config.num_cells))
+            yield GridFunction._adopt(config, rng.random(config.num_cells))
         elif i % 3 == 2:
             mask = rng.random(config.num_cells) < max(rng.random(), 1.0 / config.num_cells)
             if mask.any():
-                yield frostman_measure(GridFunction(config, mask.astype(float)))
+                yield frostman_measure(GridFunction._adopt(config, mask.astype(float)))
         else:
             k = int(rng.integers(0, config.L + 1))
             q = CubeId(k, tuple(int(rng.integers(0, 2**k)) for _ in range(config.n)))
-            yield GridFunction(config, indicator(config, q).values * (float(rng.random()) + 0.5))
+            yield GridFunction._adopt(config, indicator(config, q).values * (float(rng.random()) + 0.5))
+
+
+def _require_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer (Python or NumPy, not bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def associate_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed: int) -> float:
     """Lower bound for the associate norm of f against the given space:
     the best pairing(|f|, |g|)/norm(g) over generated admissible witnesses
     (the root indicator, random densities, Frostman measures of random
-    sets, and scaled cube indicators).  Deterministic given the seed.  The
-    spec is checked before any witness is drawn; the witnesses' Luxemburg
-    tables for spec.phi are then solved together, in one segmented solve."""
-    if witnesses < 1:
-        raise ValueError("need at least one witness")
+    sets, and scaled cube indicators).  Deterministic given the seed.
+    witnesses must be an integer >= 1 and seed an integer >= 0, and the
+    spec is checked too, before any witness is drawn.  Against
+    orlicz_morrey_inf every witness is normed in one `_sup_norms` call;
+    otherwise each goes through `space_norm`."""
+    _require_count("witnesses", witnesses, 1)
+    _require_count("seed", seed, 0)
     _space(spec)
-    absf = GridFunction(f.config, np.abs(f.values))
+    absf = GridFunction._adopt(f.config, np.abs(f.values))
     gs = list(_witnesses(absf, witnesses, np.random.default_rng(seed)))
-    if "phi" in _SPACES[spec.tag][0]:
-        luxemburg_norm_tables(gs, spec.phi)
+    if spec.tag == "orlicz_morrey_inf":
+        denoms = _sup_norms(gs, spec.phi)
+    else:
+        denoms = [space_norm(g, spec) for g in gs]
     best = 0.0
-    for g in gs:
-        denom = space_norm(g, spec)
-        if denom <= 0.0:
-            continue
-        best = max(best, pairing(absf, g) / denom)
+    for g, denom in zip(gs, denoms):
+        if denom > 0.0:
+            best = max(best, pairing(absf, g) / denom)
     return best
 
 

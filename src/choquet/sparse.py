@@ -112,7 +112,7 @@ def apply_sparse(f: GridFunction, s: SparseFamily) -> GridFunction:
         out = paint(level_masks(f.config, s.cubes), _mean_pyramid(f.grid))
     if np.isinf(out).any():
         raise ValueError("sparse image beyond the float range")
-    return GridFunction(f.config, out)
+    return GridFunction._adopt(f.config, out)
 
 
 @dataclass(frozen=True)

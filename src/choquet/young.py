@@ -14,20 +14,20 @@ example), and Phi-averages propagate +inf deterministically.
 
 Luxemburg norms inf{lam : mean Phi(|f|/lam) <= 1} have one solver behind
 `luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`: a list
-of 2-D row blocks in (a cube, table levels, a dual witness's tiles), one
-read-only array of row norms per block out.  All rows are segments of one
-flat array, summed by `np.add.reduceat`.  For the four power-form types
-(the exact types: a subclass may override Phi) both norms are closed
-forms in (phi.c, phi.r); every other Phi takes a Newton iteration on
-s -> mean Phi(s|f|) inside a bisection bracket, or bisection alone when
-Phi's class defines no `deriv` (decided once per solve).  Each row stops
-on its own and sums its own entries only, so a cube's norm does not
-depend on which rows share its solve: a table (one array per level,
-shaped like `pyramid`'s) and the tables of several functions on one
-lattice (`luxemburg_norm_tables`) equal the single-cube values.  Phi and
-Phi' at the same points come from one `value_and_deriv` call, so
-t log(e + t) takes one log.  The Amemiya norm inf_s s(1 + mean Phi(|f|/s))
-solves the same way for Psi = t Phi' - Phi.
+of 2-D row blocks in (a cube, table levels, a dual witness's tiles, the
+candidate cubes of a sup norm), one read-only array of row norms per
+block out.  All rows are segments of one flat array, summed by
+`np.add.reduceat`.  For the four power-form types (the exact types: a
+subclass may override Phi) both norms are closed forms in (phi.c,
+phi.r); every other Phi takes a Newton iteration on s -> mean Phi(s|f|)
+inside a bisection bracket, or bisection alone when Phi's class defines
+no `deriv` (decided once per solve).  Each row stops on its own and sums
+its own entries only, so a cube's norm does not depend on which rows
+share its solve: a table (one array per level, shaped like `pyramid`'s)
+and any set of cubes solved together equal the single-cube values.  Phi
+and Phi' at the same points come from one `value_and_deriv` call, so
+t log(e + t) takes one log.  The Amemiya norm inf_s s(1 + mean
+Phi(|f|/s)) solves the same way for Psi = t Phi' - Phi.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "by_name",
     "luxemburg_norm",
     "luxemburg_norm_table",
-    "luxemburg_norm_tables",
     "phi_average",
     "young_equality_residual",
     "check_delta2",
@@ -505,45 +504,32 @@ def luxemburg_norm(f: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     return float(_luxemburg_rows(phi, [f.restrict(q).reshape(1, -1)])[0][0])
 
 
-# Levels of one table or of many join one solve while the group's flat
-# arrays stay within this many entries (every level holds all N leaf
-# values).  Past that, the arrays of one Newton step outgrow the CPU caches
-# and, in the tables of many small functions, the process's resident memory
-# grows by more than the per-call overhead is worth (ladder in CHANGES.md).
-_LUX_GROUP_ENTRIES = 2**12
+# Levels of one table join one solve while the solve's flat arrays stay
+# within this many entries (every level holds all N leaf values); past
+# that, the arrays of one Newton step outgrow the CPU caches (ladder in
+# CHANGES.md).
+_LUX_GROUP_ENTRIES = 2**14
 
 
 def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray]:
     """Luxemburg norms of f over every lattice cube, one read-only array per
     level shaped (2^k,)*n like `pyramid`, each entry `==` to
-    `luxemburg_norm` on that cube: `luxemburg_norm_tables` of f alone.
-    Cached per (function, phi._cache_key()): GridFunction values are
-    immutable, so the table never goes stale."""
-    return luxemburg_norm_tables([f], phi)[0]
-
-
-def luxemburg_norm_tables(fs, phi: YoungFunction) -> list[list[np.ndarray]]:
-    """The `luxemburg_norm_table` of each function in fs, all on one lattice
-    (ValueError otherwise).  The tables not yet cached share one segmented
-    solve: every level of every table is a segment of one flat array, a few
-    levels per solve once a solve would pass `_LUX_GROUP_ENTRIES` entries.
-    A function listed twice is solved once."""
-    fs = list(fs)
-    if any(f.config != fs[0].config for f in fs[1:]):
-        raise ValueError("Luxemburg tables of functions on different lattices")
+    `luxemburg_norm` on that cube.  The levels are segments of one flat
+    array, a few levels per solve once a solve would pass
+    `_LUX_GROUP_ENTRIES` entries.  Cached per (function,
+    phi._cache_key()): a GridFunction owns its values, which are
+    read-only, so the table never goes stale."""
+    cache = f.__dict__.setdefault("_lux_tables", {})
     key = phi._cache_key()
-    todo = list({id(f): f for f in fs if key not in f.__dict__.setdefault("_lux_tables", {})}.values())
-    if todo:
-        n, L, cells = todo[0].config.n, todo[0].config.L, todo[0].config.num_cells
-        blocks = [(f, k) for f in todo for k in range(L + 1)]
-        per_solve = max(1, _LUX_GROUP_ENTRIES // cells)
+    if key not in cache:
+        n, L = f.config.n, f.config.L
+        per_solve = max(1, _LUX_GROUP_ENTRIES // f.config.num_cells)
         levels = []
-        for group in (blocks[i : i + per_solve] for i in range(0, len(blocks), per_solve)):
-            norms = _luxemburg_rows(phi, [cube_blocks(f.grid, k) for f, k in group])
-            levels += [a.reshape((2**k,) * n) for a, (_, k) in zip(norms, group)]
-        for i, f in enumerate(todo):
-            f._lux_tables[key] = levels[i * (L + 1) : (i + 1) * (L + 1)]
-    return [f._lux_tables[key] for f in fs]
+        for ks in (range(k, min(k + per_solve, L + 1)) for k in range(0, L + 1, per_solve)):
+            norms = _luxemburg_rows(phi, [cube_blocks(f.grid, k) for k in ks])
+            levels += [a.reshape((2**k,) * n) for a, k in zip(norms, ks)]
+        cache[key] = levels
+    return cache[key]
 
 
 def phi_average(f: GridFunction, q: CubeId, phi: YoungFunction, lam: float) -> float:

@@ -30,6 +30,7 @@ from choquet.lattice import (
     refine,
     validate_tiling,
 )
+from choquet.young import LlogL, luxemburg_norm, luxemburg_norm_table
 
 oracle_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -203,6 +204,34 @@ def test_grid_function_immutable_and_shape():
         f.values[0] = 1.0
     with pytest.raises(ValueError):
         GridFunction(cfg, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("shape", ["flat", "grid"])
+def test_grid_function_owns_its_values(shape):
+    # writing to the caller's array after construction moves neither the
+    # values nor a cached Luxemburg table (the table kept the old root
+    # norm, 0.650 against 65.0, when the array was shared)
+    cfg = LatticeConfig(2, 3, 1.0)
+    v = np.arange(1.0, 65.0) / 64.0
+    v = v if shape == "flat" else v.reshape(cfg.grid_shape)
+    f = GridFunction(cfg, v)
+    root = luxemburg_norm_table(f, LlogL())[0][0, 0]
+    v *= 100.0
+    assert not np.shares_memory(f.values, v)
+    assert np.array_equal(f.values, np.arange(1.0, 65.0) / 64.0)
+    assert luxemburg_norm_table(f, LlogL())[0][0, 0] == root == luxemburg_norm(f, CubeId(0, (0, 0)), LlogL())
+
+
+def test_grid_function_adopts_kernel_arrays():
+    # the private path keeps a float array the caller has just made, read-only
+    cfg = LatticeConfig(1, 3, 0.5)
+    a = np.linspace(0.0, 1.0, 8)
+    f = GridFunction._adopt(cfg, a)
+    assert np.shares_memory(f.values, a) and not f.values.flags.writeable
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction._adopt(cfg, np.full(8, np.inf))
+    with pytest.raises(ValueError, match="expected 8 leaf values"):
+        GridFunction._adopt(cfg, np.zeros(4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

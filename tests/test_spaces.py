@@ -32,7 +32,18 @@ from choquet.spaces import (
     space_norm,
     tiling_orlicz_morrey_norm,
 )
-from choquet.young import ExpM1, Identity, LlogL, Power, PowerConjugate, luxemburg_norm, luxemburg_norm_table
+from choquet.young import (
+    ExpM1,
+    ExpM1Conjugate,
+    Identity,
+    IdentityConjugate,
+    LlogL,
+    Power,
+    PowerConjugate,
+    luxemburg_norm,
+    luxemburg_norm_table,
+    numeric_conjugate,
+)
 
 ROOT1 = CubeId(0, (0,))
 LEAVES = lambda cfg: Tiling([CubeId(cfg.L, (j,)) for j in range(2**cfg.L)])
@@ -71,6 +82,49 @@ def test_orlicz_morrey_sup_branch():
     # p = inf: sup over cubes of side^(n-d) * ||g||_{Phi;Q}; constants peak at the root
     got = orlicz_morrey_norm(g, np.inf, Power(2))
     assert got == pytest.approx(2.0, rel=1e-9)
+
+
+SUP_VALUES = {
+    "zero": lambda rng, size: np.zeros(size),
+    "constant": lambda rng, size: np.full(size, 1.75),
+    "uniform": lambda rng, size: rng.random(size),
+    "lognormal": lambda rng, size: np.exp(rng.normal(0.0, 3.0, size)),
+    "spiky": lambda rng, size: np.exp2(rng.uniform(0.0, 8.0, size)) * (rng.random(size) < 0.06),
+    "one_spike": lambda rng, size: np.where(np.arange(size) == rng.integers(size), 7.0, 1e-6),
+    "near_max": lambda rng, size: 1e308 * (0.5 + 0.5 * rng.random(size)) * (rng.random(size) < 0.7),
+    "tiny": lambda rng, size: 1e-300 * rng.random(size),
+}
+SUP_PHIS = [Identity(), IdentityConjugate(), Power(2.5), PowerConjugate(1.5), LlogL(), ExpM1(), ExpM1Conjugate(),
+            numeric_conjugate(ExpM1())]
+
+
+@st.composite
+def sup_batches(draw):
+    """One to three functions on one lattice of at most 64 cells (L = 0 included)."""
+    n = draw(st.integers(1, 3))
+    cfg = LatticeConfig(n, draw(st.integers(0, 6 // n)), draw(st.sampled_from([0.25, 0.5, 0.9])) * n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(sorted(SUP_VALUES)), min_size=1, max_size=3))
+    return [GridFunction(cfg, SUP_VALUES[kind](rng, cfg.num_cells)) for kind in kinds]
+
+
+def _table_sup(g: GridFunction, phi) -> float:
+    """The sup norm read off g's whole Luxemburg table: the slow-path oracle."""
+    alpha = g.config.n - g.config.d
+    return max(float(2.0 ** (-k * alpha) * a.max()) for k, a in enumerate(luxemburg_norm_table(g, phi)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(sup_batches(), st.sampled_from(SUP_PHIS), st.sampled_from([None, 1, 64]))
+def test_orlicz_morrey_sup_equals_table_max(gs, phi, budget):
+    # candidate cubes only, one function or several at once, against every
+    # cube; a small patched budget splits the candidates into more solves
+    want = [_table_sup(GridFunction(g.config, g.values), phi) for g in gs]
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(spaces, "_LUX_GROUP_ENTRIES", budget)
+        assert [orlicz_morrey_norm(g, np.inf, phi) for g in gs] == want
+        assert spaces._sup_norms(gs, phi) == want
 
 
 def test_block_norm_single_tile(rng):
@@ -348,50 +402,84 @@ def _associate_specs(cfg):
 
 @pytest.mark.parametrize("n, L", [(1, 6), (2, 4), (3, 2)])
 def test_associate_lower_bound_matches_per_witness_loop(n, L, monkeypatch):
-    # the witnesses' tables solved together against each solved on its own;
-    # |f| itself is usually the best witness, so every witness's norm and
-    # pairing is compared too, in order
+    # all witnesses normed together against each normed on its own by
+    # space_norm; |f| itself is usually the best witness, so every
+    # witness's norm and pairing is compared too, in order.  The inf specs
+    # norm every witness in one `_sup_norms` call, the others none.
     cfg = LatticeConfig(n, L, n / 2)
     rng = np.random.default_rng(10 * n + L)
     functions = [GridFunction(cfg, np.exp(rng.normal(0.0, 1.5, cfg.num_cells)) * (rng.random(cfg.num_cells) < 0.6)),
                  GridFunction.zeros(cfg)]
-    calls = {spaces: [], conftest: []}
 
-    def recording(fn, log):
+    def recording(fn, log, calls=None):
         def call(*args):
-            log.append(fn(*args))
-            return log[-1]
+            out = fn(*args)
+            if calls is None:
+                log.append(out)
+            else:
+                log.extend(out)
+                calls.append(len(out))
+            return out
         return call
 
-    for module, log in calls.items():
-        for name, fn in [("space_norm", space_norm), ("pairing", pairing)]:
-            monkeypatch.setattr(module, name, recording(fn, log))
     for spec in _associate_specs(cfg):
         for f in functions:
             for witnesses, seed in [(24, 3), (7, 11)]:
-                assert associate_lower_bound(f, spec, witnesses, seed) == per_witness_lower_bound(f, spec, witnesses, seed)
-                assert calls[spaces] == calls[conftest] != []
-                for log in calls.values():
-                    log.clear()
+                runs, sup_calls = [], []
+                for module, bound in [(spaces, associate_lower_bound), (conftest, per_witness_lower_bound)]:
+                    norms, pairings = [], []
+                    with monkeypatch.context() as mp:
+                        mp.setattr(module, "space_norm", recording(space_norm, norms))
+                        mp.setattr(module, "pairing", recording(pairing, pairings))
+                        if module is spaces:
+                            mp.setattr(spaces, "_sup_norms", recording(spaces._sup_norms, norms, sup_calls))
+                        runs.append((bound(f, spec, witnesses, seed), norms, pairings))
+                assert runs[0] == runs[1]
+                assert runs[0][1] != []
+                assert sup_calls == ([len(runs[0][1])] if spec.tag == "orlicz_morrey_inf" else [])
 
 
 @pytest.mark.parametrize("spec", [SpaceSpec("sobolev", p=2.0, phi=ExpM1()), SpaceSpec("orlicz_morrey", p=2.0),
                                   SpaceSpec("block", phi=LlogL())], ids=["unknown_tag", "missing_phi", "missing_p_tiling"])
 def test_associate_lower_bound_checks_spec_first(spec, monkeypatch):
-    # a bad spec fails as in space_norm, before a witness or a table exists
+    # a bad spec fails as in space_norm, before a witness or a norm exists
     f = GridFunction(LatticeConfig(1, 3, 0.5), np.arange(8.0))
     with pytest.raises(ValueError) as want:
         space_norm(f, spec)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("drew a witness or built a table")
+        raise AssertionError("drew a witness or normed one")
 
     monkeypatch.setattr(spaces, "_witnesses", forbidden)
-    monkeypatch.setattr(spaces, "luxemburg_norm_tables", forbidden)
+    monkeypatch.setattr(spaces, "_sup_norms", forbidden)
     monkeypatch.setattr(young, "_luxemburg_rows", forbidden)
     with pytest.raises(ValueError) as got:
         associate_lower_bound(f, spec, 24, 1)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name, bad", [("witnesses", w) for w in [0, -3, 2.5, 3.0, np.nan, "3", None, True, np.float64(3.0)]]
+                         + [("seed", s) for s in [-1, 2.5, None, "7", np.nan, False, np.int64(-2)]])
+def test_associate_lower_bound_needs_integer_counts(name, bad, monkeypatch):
+    # a ValueError naming the argument, before any witness is drawn: seed=None
+    # would draw OS entropy, and a float count used to fail inside range()
+    f = GridFunction(LatticeConfig(1, 3, 0.5), np.arange(8.0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew a witness")
+
+    monkeypatch.setattr(spaces, "_witnesses", forbidden)
+    counts = {"witnesses": 3, "seed": 1, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        associate_lower_bound(f, SpaceSpec("orlicz_morrey_inf", phi=ExpM1()), **counts)
+
+
+def test_associate_lower_bound_takes_numpy_integers():
+    f = GridFunction(LatticeConfig(2, 3, 1.0), np.arange(64.0))
+    spec = SpaceSpec("orlicz_morrey_inf", phi=ExpM1())
+    want = associate_lower_bound(f, spec, 9, 4)
+    assert associate_lower_bound(f, spec, np.int64(9), np.uint8(4)) == want
+    assert associate_lower_bound(f, spec, np.int32(9), 4) == want
 
 
 def test_enumerate_tilings_counts():

@@ -24,7 +24,6 @@ from choquet.young import (
     _luxemburg_rows,
     luxemburg_norm,
     luxemburg_norm_table,
-    luxemburg_norm_tables,
     NumericConjugate,
     numeric_conjugate,
     phi_average,
@@ -452,7 +451,7 @@ def test_luxemburg_table_levels_are_pyramid_shaped(phi, n, L):
 def test_luxemburg_table_split_into_groups(phi):
     # a lattice whose levels do not fit one solve: the table is still level
     # by level and cube by cube the same
-    cfg = LatticeConfig(2, 5, 1.0)
+    cfg = LatticeConfig(2, 6, 1.0)
     assert cfg.num_cells < _LUX_GROUP_ENTRIES < (cfg.L + 1) * cfg.num_cells
     rng = np.random.default_rng(11)
     f = GridFunction(cfg, np.exp(rng.normal(0.0, 2.0, cfg.num_cells)) * (rng.random(cfg.num_cells) < 0.8))
@@ -509,62 +508,32 @@ def test_luxemburg_table_cache_keys_on_parameters():
     assert luxemburg_norm_table(f, Power(1.5)) is luxemburg_norm_table(f, Power(1.5))
 
 
-@st.composite
-def table_batches(draw):
-    """Up to four functions on one lattice of at most 64 cells, a list of
-    them in any order with repeats, the ones cached beforehand, and a solve
-    budget (None keeps `_LUX_GROUP_ENTRIES`)."""
-    n = draw(st.integers(1, 3))
-    cfg = LatticeConfig(n, draw(st.integers(0, 6 // n)), 0.5)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(sorted(LEAF_VALUES)), min_size=1, max_size=4))
-    fns = [GridFunction(cfg, LEAF_VALUES[kind](rng, cfg.num_cells)) for kind in kinds]
-    order = draw(st.lists(st.integers(0, len(fns) - 1), min_size=1, max_size=6))
-    cached = draw(st.sets(st.integers(0, len(fns) - 1)))
-    budget = draw(st.sampled_from([None, 1, cfg.num_cells, 3 * cfg.num_cells]))
-    return fns, order, cached, budget
-
-
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(table_batches(), st.one_of(builtin_phis(), st.just(numeric_conjugate(ExpM1()))))
-def test_luxemburg_norm_tables_equal_each_table_alone(batch, phi):
-    fns, order, cached, budget = batch
-    alone = [luxemburg_norm_table(GridFunction(f.config, f.values), phi) for f in fns]
-    before = {i: luxemburg_norm_table(fns[i], phi) for i in cached}
+@given(lattice_functions(), st.one_of(builtin_phis(), st.just(numeric_conjugate(ExpM1()))),
+       st.sampled_from(["kept", "one entry", "one level", "three levels"]))
+def test_luxemburg_table_groups_levels_by_budget(f, phi, budget):
+    # the levels split into solves of at most `_LUX_GROUP_ENTRIES` entries
+    # (one level at least), patched small so small lattices split too; the
+    # table is the same whatever the split, and cached
+    cells, levels = f.config.num_cells, f.config.L + 1
+    entries = {"kept": _LUX_GROUP_ENTRIES, "one entry": 1, "one level": cells, "three levels": 3 * cells}[budget]
+    alone = luxemburg_norm_table(GridFunction(f.config, f.values), phi)
     solves = []
 
     def counted(phi, blocks):
-        solves.append(sum(len(b) for b in blocks))
+        solves.append([b.shape for b in blocks])
         return _luxemburg_rows(phi, blocks)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(young, "_luxemburg_rows", counted)
-        if budget is not None:
-            mp.setattr(young, "_LUX_GROUP_ENTRIES", budget)
-        tables = luxemburg_norm_tables([fns[i] for i in order], phi)
-    for i, table in zip(order, tables):
-        assert [a.shape for a in table] == [a.shape for a in alone[i]]
-        assert all(np.array_equal(a, b) for a, b in zip(table, alone[i]))
-        assert table is luxemburg_norm_table(fns[i], phi)
-        if i in cached:
-            assert table is before[i]
-    # each uncached function once, its levels split into solves by the budget
-    cfg, solved = fns[0].config, len(set(order) - cached)
-    levels = solved * (cfg.L + 1)
-    per_solve = max(1, (budget or _LUX_GROUP_ENTRIES) // cfg.num_cells)
-    assert len(solves) == -(-levels // per_solve)
-    assert sum(solves) == solved * sum(2 ** (cfg.n * k) for k in range(cfg.L + 1))
-
-
-def test_luxemburg_norm_tables_need_one_lattice():
-    a = GridFunction(LatticeConfig(1, 2, 0.5), np.arange(4.0))
-    b = GridFunction(LatticeConfig(1, 3, 0.5), np.arange(8.0))
-    c = GridFunction(LatticeConfig(1, 2, 0.25), np.arange(4.0))
-    for fs in [[a, b], [a, a, c]]:
-        with pytest.raises(ValueError, match="different lattices"):
-            luxemburg_norm_tables(fs, LlogL())
-    assert "_lux_tables" not in vars(a)
-    assert luxemburg_norm_tables([], LlogL()) == []
+        mp.setattr(young, "_LUX_GROUP_ENTRIES", entries)
+        table = luxemburg_norm_table(f, phi)
+        assert luxemburg_norm_table(f, phi) is table
+    assert [a.shape for a in table] == [a.shape for a in alone]
+    assert all(np.array_equal(a, b) for a, b in zip(table, alone))
+    per_solve = max(1, entries // cells)
+    assert [len(shapes) for shapes in solves] == [min(per_solve, levels - k) for k in range(0, levels, per_solve)]
+    assert sum(solves, []) == [(2 ** (f.config.n * k), cells // 2 ** (f.config.n * k)) for k in range(levels)]
 
 
 @pytest.mark.parametrize("phi", [LlogL(), numeric_conjugate(ExpM1())], ids=["llogl", "numeric_expm1"])
