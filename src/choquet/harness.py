@@ -31,6 +31,7 @@ from .lattice import (
     GridFunction,
     LatticeConfig,
     Tiling,
+    _require_count,
     children,
     coarsen,
     level_masks,
@@ -413,7 +414,10 @@ def _thm21_empirical(ctx: SuiteContext, i: int):
     report = verify_sparse(config, fam)
 
     num = pairing(g, apply_sparse(f, fam))
-    om = orlicz_morrey_norm(g, pprime, LlogL())
+    # the Orlicz-Morrey norm of g is the Choquet L^p' norm of this maximal
+    # function (at p' = inf its max, the sup over cubes)
+    omg = orlicz_fractional_maximal(g, config.n - config.d, LlogL()).values
+    om = choquet_norm(omg, pprime)
     fp = choquet_norm(f, p)
     direct = _ratio(num, fp * om)
 
@@ -421,9 +425,8 @@ def _thm21_empirical(ctx: SuiteContext, i: int):
     mg = hl_maximal(g).values
     c_m = _ratio(choquet_norm(mf, p), fp)
     mdmg = fractional_measure_maximal(mg).values.values
-    omg = orlicz_fractional_maximal(g, config.n - config.d, LlogL()).values.values
     with np.errstate(divide="ignore", invalid="ignore"):
-        c_sst = float(np.nanmax(np.where(omg > 0, mdmg / omg, 0.0)))
+        c_sst = float(np.nanmax(np.where(omg.values > 0, mdmg / omg.values, 0.0)))
     budget = (1.0 / report.min_ratio) * c_m * c_sst
     asserted = _ratio(direct, budget)
     return asserted, {"direct": direct, "budget": budget, "p": p}
@@ -570,10 +573,9 @@ def run_suite(name: str, trials: int, L: int, seed: int, n: int = 1, d: float = 
     """Run a registered suite; deterministic given (name, trials, L, seed, n, d)."""
     if name not in SUITES:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _require_count("trials", trials, 1)
+    _require_count("seed", seed, 0)
+    trials, seed = int(trials), int(seed)  # a NumPy integer too, so the report serialises
     suite = SUITES[name]
     ctx = SuiteContext(LatticeConfig(n, L, d), seed)
     results = [suite.trial(ctx, i) for i in range(1 if suite.once else trials)]
@@ -586,9 +588,9 @@ def run_suite(name: str, trials: int, L: int, seed: int, n: int = 1, d: float = 
     return VerificationReport(
         suite=name,
         trials=trials,
-        L=L,
+        L=ctx.config.L,
         seed=seed,
-        n=n,
+        n=ctx.config.n,
         d=d,
         bound=suite.bound,
         worst_ratio=worst,

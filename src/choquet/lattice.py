@@ -54,11 +54,18 @@ __all__ = [
 _MAX_NL = 24  # largest n*L: 2^24 leaf cells, 128 MB per float64 grid
 
 
+def _require_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer (Python or NumPy, not bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Fixed lattice context: dimension n, max level L, content exponent d.
 
-    n and n*L may be at most 24: the 2^(nL) leaf cells of a larger lattice
+    n >= 1 and L >= 0 are integers (Python or NumPy, not bool), and n and
+    n*L may be at most 24: the 2^(nL) leaf cells of a larger lattice
     do not fit a float64 grid in memory, and n is the grid's number of axes
     whatever L is (numpy takes at most 64)."""
 
@@ -67,12 +74,12 @@ class LatticeConfig:
     d: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension n must be positive, got {self.n}")
+        _require_count("dimension n", self.n, 1)
+        _require_count("resolution level L", self.L, 0)
+        for name in ("n", "L"):  # NumPy integers held as int: n*L cannot wrap, and `to_json` writes them
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.n > _MAX_NL:
             raise ValueError(f"dimension n must be at most {_MAX_NL}, got {self.n}")
-        if self.L < 0:
-            raise ValueError(f"resolution level L must be >= 0, got {self.L}")
         if self.n * self.L > _MAX_NL:
             raise ValueError(
                 f"lattice too large: n*L = {self.n * self.L} exceeds {_MAX_NL} (2^{_MAX_NL} leaf cells)"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction, LatticeConfig, _mean_pyramid, refine
+from .lattice import CubeId, GridFunction, LatticeConfig, _mean_pyramid, _require_count, refine
 from .young import YoungFunction, luxemburg_norm_table
 
 __all__ = [
@@ -32,8 +32,14 @@ class MaximalResult:
     argmax_levels: np.ndarray  # per leaf cell, the level of an attaining cube
 
     def argmax_cube(self, cell: tuple[int, ...]) -> CubeId:
-        """The recorded cube attaining the supremum at the given leaf cell."""
+        """The recorded cube attaining the supremum at the given leaf cell:
+        n integer indices in [0, 2^L), else a ValueError."""
         config = self.values.config
+        if len(cell) != config.n:
+            raise ValueError(f"leaf cell {cell} needs {config.n} indices")
+        for c in cell:
+            _require_count("leaf cell index", c, 0)
+        cell = CubeId(config.L, cell).index  # ValueError at 2^L or beyond
         k = int(self.argmax_levels.reshape(config.grid_shape)[cell])
         return CubeId(k, tuple(c >> (config.L - k) for c in cell))
 

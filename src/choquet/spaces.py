@@ -21,6 +21,7 @@ from .lattice import (
     LatticeConfig,
     Tiling,
     _mean_pyramid,
+    _require_count,
     children,
     coarsen,
     cube_blocks,
@@ -31,7 +32,7 @@ from .lattice import (
     validate_masks,
 )
 from .maximal import fractional_measure_maximal, orlicz_fractional_maximal
-from .young import _LUX_GROUP_ENTRIES, YoungFunction, _luxemburg_rows, luxemburg_norm_table
+from .young import YoungFunction, _luxemburg_rows, luxemburg_norm_table
 
 __all__ = [
     "SpaceSpec",
@@ -76,10 +77,10 @@ def orlicz_morrey_norm(f: GridFunction, p: float, phi: YoungFunction) -> float:
     (Rao-Ren, Theory of Orlicz Spaces, 1991).  So only a cube whose
     side^alpha * max reaches the largest side^alpha * mean can attain the
     sup; Phi^-1(1) is on both sides of that comparison, cancels, and is
-    never computed.  Those candidate cubes are solved by the solver behind
-    `luxemburg_norm_table`, whose rows do not depend on which rows share a
-    solve, so the result is `==` the max over f's whole table (see
-    `_sup_norms`)."""
+    never computed.  Those candidate cubes go to the solver behind
+    `luxemburg_norm_table`, grouped as a table's levels are; a row's norm
+    does not depend on which rows share its solve, so the result is `==`
+    the max over f's whole table (see `_sup_norms`)."""
     if not p > 1:
         raise ValueError(f"Orlicz-Morrey exponent must satisfy p > 1, got {p}")
     if np.isinf(p):
@@ -100,12 +101,12 @@ def _sup_norms(gs: list[GridFunction], phi: YoungFunction) -> list[float]:
     spans two functions above the root; means are scaled by 2^-n before
     each sum, so none overflows).  A candidate's side^alpha * max|g| is > 0
     and >= (1 - _SUP_SLACK) times the largest side^alpha * mean|g| of its
-    own g.  Candidate rows are gathered level by level from the stack, in
-    `cube_blocks` order, and solved together while a solve stays within
-    `_LUX_GROUP_ENTRIES` entries or one level's rows, so extra memory is
+    own g.  The candidates are listed per level; `_luxemburg_rows` reads
+    their rows one level at a time, in `cube_blocks` order, and groups
+    them into solves, so extra memory is one group plus one level's rows,
     O(len(gs) * N).  A cube left out could beat the candidates only where
-    the solver's tolerance reorders two norms that close, and its own norm,
-    never solved, raises nothing beyond the float range."""
+    the solver's tolerance reorders two norms that close, and its own
+    norm, never solved, raises nothing beyond the float range."""
     config = gs[0].config
     n, L, W = config.n, config.L, len(gs)
     alpha = n - config.d
@@ -116,26 +117,18 @@ def _sup_norms(gs: list[GridFunction], phi: YoungFunction) -> list[float]:
         means.append(coarsen(means[-1] * 0.5**n))
     side = [2.0 ** (-k * alpha) for k in range(L + 1)]
     floor = np.max([side[k] * means[L - k].reshape(W, -1).max(axis=1) for k in range(L + 1)], axis=0)
-    best, batch = np.zeros(W), []
-
-    def solve():
-        for (k, owner, _), norms in zip(batch, _luxemburg_rows(phi, [rows for _, _, rows in batch])):
-            np.maximum.at(best, owner, side[k] * norms)
-        batch.clear()
-
+    cands = []  # (level, owner, index) per level with a candidate
     for k in range(L + 1):
         upper = side[k] * tops[L - k].reshape((W,) + (2**k,) * n)
         owner, *index = np.nonzero((upper >= (1.0 - _SUP_SLACK) * floor.reshape((W,) + (1,) * n)) & (upper > 0.0))
-        if not len(owner):
-            continue
-        # level k as (function, i_1, j_1, ..., i_n, j_n): cube i, leaf j in it
-        cubes = stack.reshape((W,) + (2**k, 2 ** (L - k)) * n)
-        rows = cubes[(owner,) + sum(((i, slice(None)) for i in index), ())].reshape(len(owner), -1)
-        if batch and sum(b[2].size for b in batch) + rows.size > _LUX_GROUP_ENTRIES:
-            solve()
-        batch.append((k, owner, rows))
-    if batch:
-        solve()
+        if len(owner):
+            cands.append((k, owner, index))
+    # level k as (function, i_1, j_1, ..., i_n, j_n): cube i, leaf j in it
+    rows = (stack.reshape((W,) + (2**k, 2 ** (L - k)) * n)[(owner,) + sum(((i, slice(None)) for i in index), ())]
+            .reshape(len(owner), -1) for k, owner, index in cands)
+    best = np.zeros(W)
+    for (k, owner, _), norms in zip(cands, _luxemburg_rows(phi, rows)):
+        np.maximum.at(best, owner, side[k] * norms)
     return [float(b) for b in best]
 
 
@@ -220,8 +213,8 @@ def dual_witness(
     The attached certificate side(Q)^(n-d) ||F_Q||_{Phibar;Q} is bounded by
     a^(p-1) whenever mu is admissible.  All tiles are handled at once on the
     tiling's level masks: the tile norms come from the cached Luxemburg
-    table of f, the certificates from one solve over the tiles of F (F is
-    new per call, so a table of it would be solved for every cube), and
+    table of f, the certificates from the tiles of F alone (F is new per
+    call, so a table of it would be solved for every cube), and
     both are listed in the tiling's (level, index) order.
     """
     if not p > 1:
@@ -244,9 +237,9 @@ def dual_witness(
              for ak, mk, bk in zip(norms, _mean_pyramid(mu.grid), _mean_pyramid(phibar(fq)))]
     F = GridFunction._adopt(config, paint(masks, scale) * fq)
     # the tiles are disjoint, so F restricted to a tile is that tile's F_Q:
-    # one solve over the tiles' leaf blocks, rows in (level, index) order
-    certs = np.concatenate(_luxemburg_rows(phibar, [cube_blocks(F.grid, k)[m.reshape(-1)]
-                                                    for k, m in enumerate(masks) if m.any()]))
+    # the tiles' leaf blocks level by level, rows in (level, index) order
+    certs = np.concatenate(_luxemburg_rows(phibar, (cube_blocks(F.grid, k)[m.reshape(-1)]
+                                                    for k, m in enumerate(masks) if m.any())))
     tiles = [(q, float(norms[q.level][q.index])) for q in t]
     return DualWitness(F, tuple((q, q.side**alpha * float(c) if a > 0.0 else 0.0, a)
                                 for (q, a), c in zip(tiles, certs)))
@@ -308,12 +301,6 @@ def _witnesses(absf: GridFunction, count: int, rng: np.random.Generator):
             k = int(rng.integers(0, config.L + 1))
             q = CubeId(k, tuple(int(rng.integers(0, 2**k)) for _ in range(config.n)))
             yield GridFunction._adopt(config, indicator(config, q).values * (float(rng.random()) + 0.5))
-
-
-def _require_count(name: str, value, least: int) -> None:
-    """ValueError unless value is an integer (Python or NumPy, not bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def associate_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import _level_contents, _profile_norm, hausdorff_content_value
-from .lattice import CubeId, GridFunction, LatticeConfig, _mean_pyramid, cube_slices, indicator, level_masks, paint
+from .lattice import CubeId, GridFunction, LatticeConfig, _mean_pyramid, _require_count, cube_slices, indicator, level_masks, paint
 from .young import ExpM1, luxemburg_norm
 
 __all__ = [
@@ -128,10 +128,9 @@ class CantorConfig:
     K: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"snapped mode needs m >= 2, got {self.m}")
-        if self.K < 0:
-            raise ValueError(f"depth must be >= 0, got {self.K}")
+        _require_count("dimension n", self.n, 1)
+        _require_count("contraction exponent m", self.m, 2)  # snapped mode
+        _require_count("depth K", self.K, 0)
 
     @property
     def d(self) -> float:

@@ -13,10 +13,11 @@ a finite threshold (the complementary of the identity is the canonical
 example), and Phi-averages propagate +inf deterministically.
 
 Luxemburg norms inf{lam : mean Phi(|f|/lam) <= 1} have one solver behind
-`luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`: a list
-of 2-D row blocks in (a cube, table levels, a dual witness's tiles, the
-candidate cubes of a sup norm), one read-only array of row norms per
-block out.  All rows are segments of one flat array, summed by
+`luxemburg_norm`, `luxemburg_norm_table` and `amemiya_functional`: 2-D
+row blocks streamed in (a cube, table levels, a dual witness's tiles,
+the candidate cubes of a sup norm) and grouped into solves of at most
+`_LUX_GROUP_ENTRIES` entries, one read-only array of row norms per block
+out; a group's rows are segments of one flat array, summed by
 `np.add.reduceat`.  For the four power-form types (the exact types: a
 subclass may override Phi) both norms are closed forms in (phi.c,
 phi.r); every other Phi takes a Newton iteration on s -> mean Phi(s|f|)
@@ -459,11 +460,31 @@ def _unit_roots(phi: YoungFunction, w: np.ndarray, lens: np.ndarray) -> np.ndarr
     raise LuxemburgConvergenceError(f"root not found in {_LUX_MAX_STEPS} steps")
 
 
-def _luxemburg_rows(phi: YoungFunction, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Luxemburg norm of each row of each 2-D block in `blocks`: one
-    read-only array of row norms per block.  Every row is a segment of one
-    flat copy of all the entries, solved together.  Each row is divided by
-    its largest |entry| m first, so no power overflows.  For Phi = c t^r the
+# Consecutive blocks share a solve up to this many entries: past that, one
+# Newton step's arrays outgrow the CPU caches (ladder in `BENCH_23.json`).
+_LUX_GROUP_ENTRIES = 2**14
+
+
+def _luxemburg_rows(phi: YoungFunction, blocks) -> list[np.ndarray]:
+    """Luxemburg norm of each row of each 2-D block read from the iterable
+    `blocks`, one read-only array per block: consecutive blocks are solved
+    together while they hold at most `_LUX_GROUP_ENTRIES` entries, a bigger
+    block alone, so extra memory is one group plus the block just read."""
+    out, group = [], []
+    for block in blocks:
+        if group and sum(b.size for b in group) + block.size > _LUX_GROUP_ENTRIES:
+            out += _luxemburg_group(phi, group)
+            group = []
+        group.append(block)
+    if group:
+        out += _luxemburg_group(phi, group)
+    return out
+
+
+def _luxemburg_group(phi: YoungFunction, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """`_luxemburg_rows` on one group: every row is a segment of one flat
+    copy of all the entries, solved together.  Each row is divided by its
+    largest |entry| m first, so no power overflows.  For Phi = c t^r the
     norm is m (c mean w^r)^(1/r), and m itself at r = inf; otherwise it is
     m / s with s from `_unit_roots`.  c <= 1 in every power form, so only
     m / s can pass the float range: that is a ValueError, not inf."""
@@ -504,31 +525,18 @@ def luxemburg_norm(f: GridFunction, q: CubeId, phi: YoungFunction) -> float:
     return float(_luxemburg_rows(phi, [f.restrict(q).reshape(1, -1)])[0][0])
 
 
-# Levels of one table join one solve while the solve's flat arrays stay
-# within this many entries (every level holds all N leaf values); past
-# that, the arrays of one Newton step outgrow the CPU caches (ladder in
-# CHANGES.md).
-_LUX_GROUP_ENTRIES = 2**14
-
-
 def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray]:
     """Luxemburg norms of f over every lattice cube, one read-only array per
     level shaped (2^k,)*n like `pyramid`, each entry `==` to
-    `luxemburg_norm` on that cube.  The levels are segments of one flat
-    array, a few levels per solve once a solve would pass
-    `_LUX_GROUP_ENTRIES` entries.  Cached per (function,
-    phi._cache_key()): a GridFunction owns its values, which are
-    read-only, so the table never goes stale."""
+    `luxemburg_norm` on that cube.  The levels stream through
+    `_luxemburg_rows`, which groups them into solves.  Cached per
+    (function, phi._cache_key()): a GridFunction owns its values, which
+    are read-only, so the table never goes stale."""
     cache = f.__dict__.setdefault("_lux_tables", {})
     key = phi._cache_key()
     if key not in cache:
-        n, L = f.config.n, f.config.L
-        per_solve = max(1, _LUX_GROUP_ENTRIES // f.config.num_cells)
-        levels = []
-        for ks in (range(k, min(k + per_solve, L + 1)) for k in range(0, L + 1, per_solve)):
-            norms = _luxemburg_rows(phi, [cube_blocks(f.grid, k) for k in ks])
-            levels += [a.reshape((2**k,) * n) for a, k in zip(norms, ks)]
-        cache[key] = levels
+        norms = _luxemburg_rows(phi, (cube_blocks(f.grid, k) for k in range(f.config.L + 1)))
+        cache[key] = [a.reshape((2**k,) * f.config.n) for k, a in enumerate(norms)]
     return cache[key]
 
 

@@ -63,6 +63,21 @@ def test_seed_changes_output():
     assert a.worst_ratio != b.worst_ratio
 
 
+@pytest.mark.parametrize("field, bad", [("trials", t) for t in [2.5, True, 0, -1, 3.0, None]]
+                         + [("seed", s) for s in [1.5, -1, False, np.int64(-2), "7", None]])
+def test_run_suite_needs_integer_counts(field, bad):
+    # a float count used to fail with TypeError, and trials=True ran one trial
+    # reported as "trials": true
+    args = {**SMALL, "trials": 4, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        run_suite("adams", **args)
+
+
+def test_run_suite_takes_numpy_integers():
+    args = dict(SMALL, trials=np.int64(4), L=np.int64(3), seed=np.uint32(17))
+    assert run_suite("adams", **args).to_json() == run_suite("adams", **dict(SMALL, trials=4)).to_json()
+
+
 def test_report_json_shape():
     r = run_suite("triangle", **SMALL)
     doc = json.loads(r.to_json())

@@ -135,6 +135,24 @@ def test_config_validation():
         LatticeConfig(1, -1, 0.5)
 
 
+@pytest.mark.parametrize("n, L, field", [(1, 2.0, "L"), (1.5, 2, "n"), (1.0, 2, "n"), (True, 2, "n"), (1, False, "L"),
+                                         (1, np.float64(3.0), "L"), ("2", 3, "n"), (1, None, "L"), (1, np.nan, "L")])
+def test_config_needs_integer_n_and_l(n, L, field):
+    # a float L was accepted and then failed in every kernel with TypeError;
+    # a float n built a lattice of "8.0 cells"
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        LatticeConfig(n, L, 0.5)
+
+
+def test_config_holds_numpy_integers_as_int():
+    # so a NumPy count never wraps in n*L and `to_json` writes the config
+    cfg = LatticeConfig(np.int64(2), np.int32(3), 1.0)
+    assert cfg == LatticeConfig(2, 3, 1.0) and type(cfg.n) is int and type(cfg.L) is int
+    assert json.loads(GridFunction.constant(cfg, 1.0).to_json())["L"] == 3
+    with pytest.raises(ValueError, match="too large"):
+        LatticeConfig(np.int64(4), np.int64(2**62), 1.0)
+
+
 def test_config_caps_cell_count():
     # n*L <= 24: 2^24 float64 cells are 128 MB
     with pytest.raises(ValueError, match="too large"):

@@ -86,6 +86,18 @@ def test_argmax_cube_attains_value(rng):
         assert cell_average(f, q) == pytest.approx(m.values.grid[cell], rel=1e-13)
 
 
+@pytest.mark.parametrize("n, cell", [(1, (8,)), (1, (0, 0)), (1, (-1,)), (1, (1.5,)), (1, (True,)), (1, ()),
+                                     (2, (3,)), (2, (0, 8))])
+def test_argmax_cube_rejects_cells_off_the_lattice(n, cell):
+    # n integer indices in [0, 2^L); an index past the grid or a wrong
+    # count used to raise IndexError, and -1 wrapped to the last cell
+    cfg = LatticeConfig(n, 3, n / 2)
+    m = hl_maximal(GridFunction.constant(cfg, 1.0))
+    with pytest.raises(ValueError):
+        m.argmax_cube(cell)
+    assert m.argmax_cube((np.int64(7),) * n) == CubeId(0, (0,) * n)
+
+
 def test_fractional_measure_maximal_examples():
     cfg = LatticeConfig(1, 2, 0.5)
     # Lebesgue density 1: mu(Q)/side^d = side^(1-d) maximized at the root

@@ -17,7 +17,7 @@ from choquet.lattice import (
     validate_tiling,
 )
 from choquet import spaces, young
-from choquet.maximal import fractional_measure_maximal
+from choquet.maximal import fractional_measure_maximal, orlicz_fractional_maximal
 from choquet.spaces import (
     InadmissibleMeasureError,
     SpaceSpec,
@@ -122,9 +122,21 @@ def test_orlicz_morrey_sup_equals_table_max(gs, phi, budget):
     want = [_table_sup(GridFunction(g.config, g.values), phi) for g in gs]
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
-            mp.setattr(spaces, "_LUX_GROUP_ENTRIES", budget)
+            mp.setattr(young, "_LUX_GROUP_ENTRIES", budget)
         assert [orlicz_morrey_norm(g, np.inf, phi) for g in gs] == want
         assert spaces._sup_norms(gs, phi) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sup_batches(), st.sampled_from(SUP_PHIS))
+def test_orlicz_morrey_norm_is_choquet_norm_of_maximal(gs, phi):
+    # the norm read off the fractional Orlicz maximal function, as
+    # `thm21_empirical` does: at p = inf its max, the same products as the
+    # sup over cubes
+    for g in gs:
+        omg = orlicz_fractional_maximal(g, g.config.n - g.config.d, phi).values
+        for p in [2.0, np.inf]:
+            assert orlicz_morrey_norm(g, p, phi) == choquet_norm(omg, p)
 
 
 def test_block_norm_single_tile(rng):
@@ -338,6 +350,75 @@ def test_dual_witness_certificates_match_table_of_F(data):
     alpha = config.n - config.d
     assert [cert for _, cert, _ in w.certificates] == [
         q.side**alpha * float(table[q.level][q.index]) if a > 0.0 else 0.0 for q, _, a in w.certificates]
+
+
+def _capped_witness(f, mu, phi, t, cap):
+    """dual_witness with the Luxemburg group cap patched to `cap`, and the
+    block shapes of each solve it makes; f's table is cached first, so
+    every solve is of certificates."""
+    luxemburg_norm_table(f, phi)
+    group, solves = young._luxemburg_group, []
+
+    def counted(phi, blocks):
+        solves.append([b.shape for b in blocks])
+        return group(phi, blocks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(young, "_LUX_GROUP_ENTRIES", cap)
+        mp.setattr(young, "_luxemburg_group", counted)
+        return dual_witness(f, mu, 2.5, phi, t), solves
+
+
+def _assert_same_witness(w, v):
+    assert np.array_equal(w.F.values, v.F.values)
+    assert w.certificates == v.certificates
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_dual_witness_same_under_any_group_cap(data):
+    # the tiles' blocks, one per level, split into solves by the cap: one
+    # entry (a solve per level), one level's entries, the kept cap and one
+    # solve for all give the same F and certificates
+    config = data.draw(configs())
+    t = Tiling(data.draw(tilings(config)))
+    phi = data.draw(st.sampled_from([Identity(), Power(3.0), LlogL(), ExpM1()]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = GridFunction(config, rng.random(config.num_cells) * (rng.random(config.num_cells) < 0.8))
+    mu = frostman_measure(GridFunction.constant(config, 1.0))
+    one, solves = _capped_witness(f, mu, phi, t, 2**62)
+    assert len(solves) == 1
+    for cap in [1, config.num_cells, young._LUX_GROUP_ENTRIES]:
+        w, solves = _capped_witness(f, mu, phi, t, cap)
+        _assert_same_witness(w, one)
+        if cap == 1:
+            assert len(solves) == len({q.level for q in t})
+
+
+@pytest.mark.parametrize("phi", [Power(3.0), LlogL(), ExpM1()], ids=lambda p: p.name)
+def test_dual_witness_obeys_group_cap_on_large_lattices(phi):
+    # 2^16 cells of tiles pass the kept cap of 2^14 entries, so the tile
+    # blocks split into solves of at most that many entries (a bigger
+    # block alone), in (level, index) order, with the one-solve answer
+    config = LatticeConfig(2, 8, 1.0)
+    rng = np.random.default_rng(3)
+    cubes, stack = [], [CubeId(0, (0, 0))]
+    while stack:
+        q = stack.pop()
+        if q.level < config.L and rng.random() < 0.9 - 0.1 * q.level:
+            stack.extend(children(config, q))
+        else:
+            cubes.append(q)
+    t = Tiling(cubes)
+    f = GridFunction(config, rng.random(config.num_cells))
+    mu = frostman_measure(GridFunction.constant(config, 1.0))
+    w, solves = _capped_witness(f, mu, phi, t, young._LUX_GROUP_ENTRIES)
+    one, _ = _capped_witness(f, mu, phi, t, 2**62)
+    _assert_same_witness(w, one)
+    levels = sorted({q.level for q in t})
+    assert len(levels) > 2 and len(solves) > 1
+    assert sum(solves, []) == [(sum(q.level == k for q in t), 4 ** (config.L - k)) for k in levels]
+    assert all(len(s) == 1 or sum(r * c for r, c in s) <= young._LUX_GROUP_ENTRIES for s in solves)
 
 
 def test_dual_witness_rejects_p_le_1():

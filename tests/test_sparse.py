@@ -150,6 +150,19 @@ def test_cantor_config():
         CantorConfig(1, 1, 2)
 
 
+@pytest.mark.parametrize("args, field", [((1, 2.5, 1), "m"), ((1, 2, 1.5), "K"), ((1.0, 2, 1), "n"), ((0, 2, 1), "n"),
+                                         ((1, True, 1), "m"), ((1, 2, False), "K"), ((1, np.float64(2.0), 1), "m")])
+def test_cantor_config_needs_integers(args, field):
+    # non-integer m or K used to raise TypeError inside cantor_family
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        CantorConfig(*args)
+
+
+def test_cantor_config_takes_numpy_integers():
+    c = CantorConfig(np.int64(1), np.int64(2), np.int64(2))
+    assert cantor_family(c).config == cantor_family(CantorConfig(1, 2, 2)).config
+
+
 def test_cantor_family_stage_geometry():
     c = CantorConfig(1, 2, 3)
     fam = cantor_family(c, 8)

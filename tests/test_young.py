@@ -21,6 +21,7 @@ from choquet.young import (
     check_delta2,
     check_nabla2,
     complementary,
+    _luxemburg_group,
     _luxemburg_rows,
     luxemburg_norm,
     luxemburg_norm_table,
@@ -522,10 +523,10 @@ def test_luxemburg_table_groups_levels_by_budget(f, phi, budget):
 
     def counted(phi, blocks):
         solves.append([b.shape for b in blocks])
-        return _luxemburg_rows(phi, blocks)
+        return _luxemburg_group(phi, blocks)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(young, "_luxemburg_rows", counted)
+        mp.setattr(young, "_luxemburg_group", counted)
         mp.setattr(young, "_LUX_GROUP_ENTRIES", entries)
         table = luxemburg_norm_table(f, phi)
         assert luxemburg_norm_table(f, phi) is table
@@ -534,6 +535,46 @@ def test_luxemburg_table_groups_levels_by_budget(f, phi, budget):
     per_solve = max(1, entries // cells)
     assert [len(shapes) for shapes in solves] == [min(per_solve, levels - k) for k in range(0, levels, per_solve)]
     assert sum(solves, []) == [(2 ** (f.config.n * k), cells // 2 ** (f.config.n * k)) for k in range(levels)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 9)), max_size=8), builtin_phis(), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+def test_luxemburg_rows_reads_blocks_lazily(shapes, phi, cap, seed):
+    # a generator of blocks gives the list's answer in the same solves:
+    # consecutive blocks while they hold at most `cap` entries, a bigger one
+    # alone; and a block is drawn only once every group before the one
+    # holding the block before it has been solved
+    rng = np.random.default_rng(seed)
+    blocks = [np.exp(rng.normal(0.0, 2.0, s)) * (rng.random(s) < 0.8) for s in shapes]
+    groups, drawn = [], []
+
+    def counted(phi, group):
+        groups.append(len(group))
+        return _luxemburg_group(phi, group)
+
+    def stream():
+        for b in blocks:
+            drawn.append(len(groups))
+            yield b
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(young, "_luxemburg_group", counted)
+        mp.setattr(young, "_LUX_GROUP_ENTRIES", cap)
+        lazy = _luxemburg_rows(phi, stream())
+        lazy_groups, groups[:] = groups[:], []
+        eager = _luxemburg_rows(phi, list(blocks))
+    assert len(lazy) == len(eager) == len(blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(lazy, eager))
+    parts = []  # block sizes per solve, grouped greedily
+    for b in blocks:
+        if parts and sum(parts[-1]) + b.size <= cap:
+            parts[-1].append(b.size)
+        else:
+            parts.append([b.size])
+    assert lazy_groups == groups == [len(part) for part in parts]
+    owner = [j for j, part in enumerate(parts) for _ in part]
+    assert drawn == ([0] + owner)[:len(blocks)]
 
 
 @pytest.mark.parametrize("phi", [LlogL(), numeric_conjugate(ExpM1())], ids=["llogl", "numeric_expm1"])
