@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -283,9 +284,14 @@ def _hoelder(ctx: SuiteContext, i: int):
 
 _YOUNG_TS = np.exp2(np.linspace(-6.0, 6.0, 25))
 _YOUNG_PHIS = [Power(2.0), Power(1.5), LlogL()]
-# Built once: each caches its grid Legendre transform per argument.
-_NUM_CONJ_EXP = numeric_conjugate(ExpM1())
-_NUM_CONJ_LLOGL = numeric_conjugate(LlogL())
+
+
+@cache
+def _numeric_young_residuals(t: float) -> tuple[float, float]:
+    """Young residuals of e^t - 1 (at min(t, 8)) and t log(e + t) against
+    numeric conjugates, over 1e-6: trials ask only the 25 `_YOUNG_TS`."""
+    return (young_equality_residual(ExpM1(), min(t, 8.0), numeric_conjugate(ExpM1())) / 1e-6,
+            young_equality_residual(LlogL(), t, numeric_conjugate(LlogL())) / 1e-6)
 
 
 def _young(ctx: SuiteContext, i: int):
@@ -308,8 +314,7 @@ def _young(ctx: SuiteContext, i: int):
 
     t = float(ts[i % len(ts)])
     checks["young_eq_closed"] = young_equality_residual(Power([1.5, 2.0, 3.0][i % 3]), t) / _LUX_TOL
-    checks["young_eq_numeric_exp"] = young_equality_residual(ExpM1(), min(t, 8.0), _NUM_CONJ_EXP) / 1e-6
-    checks["young_eq_numeric_llogl"] = young_equality_residual(LlogL(), t, _NUM_CONJ_LLOGL) / 1e-6
+    checks["young_eq_numeric_exp"], checks["young_eq_numeric_llogl"] = _numeric_young_residuals(t)
 
     b = luxemburg_norm(g, q, phibar)
     prod = float(np.abs(f.restrict(q) * g.restrict(q)).mean())

@@ -54,10 +54,12 @@ __all__ = [
 _MAX_NL = 24  # largest n*L: 2^24 leaf cells, 128 MB per float64 grid
 
 
-def _require_count(name: str, value, least: int) -> None:
-    """ValueError unless value is an integer (Python or NumPy, not bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _require_count(name: str, value, least: int | None = None) -> None:
+    """ValueError unless value is an integer (Python or NumPy, not bool),
+    at least `least` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,8 @@ class LatticeConfig:
     n >= 1 and L >= 0 are integers (Python or NumPy, not bool), and n and
     n*L may be at most 24: the 2^(nL) leaf cells of a larger lattice
     do not fit a float64 grid in memory, and n is the grid's number of axes
-    whatever L is (numpy takes at most 64)."""
+    whatever L is (numpy takes at most 64).  d is a real number (Python
+    or NumPy, not bool) with 0 < d < n."""
 
     n: int
     L: int
@@ -84,8 +87,11 @@ class LatticeConfig:
             raise ValueError(
                 f"lattice too large: n*L = {self.n * self.L} exceeds {_MAX_NL} (2^{_MAX_NL} leaf cells)"
             )
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, float, np.integer, np.floating)):
+            raise ValueError(f"content exponent d must be a real number, got {self.d!r}")
         if not 0.0 < self.d < self.n:
             raise ValueError(f"content exponent d must satisfy 0 < d < n, got d={self.d}, n={self.n}")
+        object.__setattr__(self, "d", float(self.d))  # so `to_json` writes a NumPy d too
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -108,12 +114,22 @@ class CubeId:
     index: tuple[int, ...]
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"cube level must be >= 0, got {self.level}")
-        object.__setattr__(self, "index", tuple(int(j) for j in self.index))
-        for j in self.index:
-            if j < 0 or j >> self.level:  # j >= 2^level, without building 2^level
-                raise ValueError(f"cube index {self.index} out of range at level {self.level}")
+        """level and each index entry are integers (Python or NumPy, not
+        bool), held as int; each entry lies in [0, 2^level)."""
+        level, index = self.level, tuple(self.index)
+        # Python ints skip the checks: they would add a third to a 77k-cube cover
+        if type(level) is not int or not all(type(j) is int for j in index):
+            _require_count("cube level", level)
+            for j in index:
+                _require_count("cube index entry", j)
+            level, index = int(level), tuple(map(int, index))
+            object.__setattr__(self, "level", level)
+        if level < 0:
+            raise ValueError(f"cube level must be >= 0, got {level}")
+        for j in index:
+            if j < 0 or j >> level:  # j >= 2^level, without building 2^level
+                raise ValueError(f"cube index {index} out of range at level {level}")
+        object.__setattr__(self, "index", index)
 
     @property
     def side(self) -> float:
@@ -141,7 +157,9 @@ class LevelOverflowError(ValueError):
 
 
 def children(config: LatticeConfig, q: CubeId) -> set[CubeId]:
-    """The 2^n cubes at level q.level+1 partitioning q."""
+    """The 2^n cubes at level q.level+1 partitioning q, a cube of the
+    lattice above its finest level."""
+    cube_slices(config, q)  # raises for a cube outside the lattice
     if q.level >= config.L:
         raise LevelOverflowError(f"cube {q} is at the finest level L={config.L}")
     return {CubeId(q.level + 1, tuple(2 * j + c for j, c in zip(q.index, corner)))

@@ -176,7 +176,9 @@ def cantor_family(c: CantorConfig, L: int | None = None) -> CantorFamily:
 
 
 def cantor_content(c: CantorConfig, k: int, L: int | None = None) -> float:
-    """Content of the stage-k set, 0 <= k <= K; exactly 1 in snapped mode."""
+    """Content of the stage-k set, k an integer in 0..K; exactly 1 in
+    snapped mode."""
+    _require_count("stage k", k)
     if not 0 <= k <= c.K:
         raise ValueError(f"stage {k} outside 0..{c.K}")
     fam = cantor_family(c, L)

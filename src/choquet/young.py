@@ -250,17 +250,11 @@ class ExpM1Conjugate(YoungFunction):
 
 class NumericConjugate(YoungFunction):
     """Grid Legendre transform: sup over s in [2^-40, 2^40] of ts - Phi(s),
-    locally refined by ternary search to relative tolerance 1e-9.  All
-    arguments of a call are solved together, each stopping on its own; the
-    maximiser is the derivative, since (Phi*)'(t) = (Phi')^-1(t)."""
+    locally refined by ternary search to relative tolerance 1e-9.  A pure
+    function: a call solves its distinct nonzero arguments together, each
+    stopping on its own; the maximiser is the derivative, (Phi*)' = (Phi')^-1."""
 
     _GRID = np.exp2(np.linspace(-40.0, 40.0, 641))  # 8 points per octave
-    # Memo of solved arguments as sorted arrays (arguments, values,
-    # maximisers): Newton asks Phi and Phi' at the same points one after
-    # the other, and the harness asks the same few points on every trial.
-    # Replaced, never written into, so the class's start (t = 0) is shared.
-    _memo = (np.zeros(1), np.zeros(1), np.zeros(1))
-    _MEMO_SIZE = 2**16  # a table's Newton steps ask millions of distinct points
 
     def __init__(self, phi: YoungFunction):
         self.phi = phi
@@ -272,9 +266,8 @@ class NumericConjugate(YoungFunction):
         self._slopes = np.where(np.isnan(slopes), np.inf, slopes)
 
     def _objective(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = t * s - self.phi(s)
-        return np.where(np.isnan(val), -np.inf, val)
+        """ts - Phi(s), -inf where that is NaN; under the caller's errstate."""
+        return np.fmax(t * s - self.phi(s), -np.inf)
 
     def _grid_argmax(self, t: np.ndarray) -> np.ndarray:
         """The first grid index maximising ts - Phi(s) at each argument t:
@@ -285,45 +278,41 @@ class NumericConjugate(YoungFunction):
         """Value and maximiser at each argument t."""
         grid, top = self._GRID, len(self._GRID) - 1
         best = self._grid_argmax(t)
-        best_val = self._objective(t, grid[best])
         lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, top)]
-        # ternary refinement on the unimodal objective
-        idx, tt = np.arange(len(t)), t
         lo_out, hi_out = lo.copy(), hi.copy()
-        for _ in range(200):
-            third = (hi - lo) / 3.0
-            m1, m2 = lo + third, hi - third
-            left = self._objective(tt, m1) < self._objective(tt, m2)
-            lo, hi = np.where(left, m1, lo), np.where(left, hi, m2)
-            done = hi - lo <= 1e-9 * hi
-            lo_out[idx], hi_out[idx] = lo, hi
-            if done.all():
-                break
-            keep = ~done
-            idx, tt, lo, hi = idx[keep], tt[keep], lo[keep], hi[keep]
-        mid = 0.5 * (lo_out + hi_out)
-        mid_val = self._objective(t, mid)
+        idx, tt = np.arange(len(t)), t
+        with np.errstate(over="ignore", invalid="ignore"):
+            best_val = self._objective(t, grid[best])
+            # ternary refinement on the unimodal objective, both thirds in one call
+            for _ in range(200):
+                third = (hi - lo) / 3.0
+                m = np.concatenate((lo + third, hi - third)).reshape(2, -1)
+                val = self._objective(tt, m)
+                left = val[0] < val[1]
+                lo, hi = np.where(left, m[0], lo), np.where(left, hi, m[1])
+                done = hi - lo <= 1e-9 * hi
+                finished = np.count_nonzero(done)
+                if finished:
+                    lo_out[idx[done]], hi_out[idx[done]] = lo[done], hi[done]
+                    if finished == len(done):
+                        break
+                    keep = ~done
+                    idx, tt, lo, hi = idx[keep], tt[keep], lo[keep], hi[keep]
+            mid = 0.5 * (lo_out + hi_out)
+            mid_val = self._objective(t, mid)
         base = np.maximum(best_val, 0.0)
         value = np.maximum(base, mid_val)
         arg = np.where(mid_val >= base, mid, np.where(best_val > 0.0, grid[best], 0.0))
         return value, arg
 
     def _lookup(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Value and maximiser at each entry of t, from the memo or `_solve`;
-        both are 0 at t = 0."""
+        """Value and maximiser at each entry of t, both 0 at t = 0: each
+        distinct nonzero entry is solved once."""
         t = np.asarray(t, dtype=float)
         uniq, inv = np.unique(t.reshape(-1), return_inverse=True)
-        keys, values, args = self._memo
-        pos = np.searchsorted(keys, uniq).clip(max=keys.size - 1)
-        hit = keys[pos] == uniq
-        value, arg = np.where(hit, values[pos], 0.0), np.where(hit, args[pos], 0.0)
-        miss = np.flatnonzero(~hit & (uniq != 0.0))
-        if miss.size:
-            value[miss], arg[miss] = self._solve(uniq[miss])
-            if keys.size + miss.size > self._MEMO_SIZE:
-                keys, values, args = NumericConjugate._memo
-            at = np.searchsorted(keys, uniq[miss])
-            self._memo = tuple(np.insert(a, at, new[miss]) for a, new in ((keys, uniq), (values, value), (args, arg)))
+        value, arg = np.zeros_like(uniq), np.zeros_like(uniq)
+        nonzero = uniq != 0.0
+        value[nonzero], arg[nonzero] = self._solve(uniq[nonzero])
         inv = inv.reshape(-1)
         return value[inv].reshape(t.shape), arg[inv].reshape(t.shape)
 
@@ -541,17 +530,23 @@ def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray
 
 
 def phi_average(f: GridFunction, q: CubeId, phi: YoungFunction, lam: float) -> float:
-    """Mean of Phi(|f|/lam) over q, with deterministic +inf propagation."""
+    """Mean of Phi(|f|/lam) over q, lam > 0, with deterministic +inf
+    propagation."""
+    if not lam > 0.0:
+        raise ValueError(f"phi_average needs lam > 0, got {lam!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.abs(f.restrict(q)).reshape(-1) / lam
     return _phi_mean(phi, scaled)
 
 
 def young_equality_residual(phi: YoungFunction, t: float, phibar: YoungFunction | None = None) -> float:
-    """|t Phi'(t) - Phi(t) - Phibar(Phi'(t))|, the dual-equation residual."""
+    """|t Phi'(t) - Phi(t) - Phibar(Phi'(t))|, the dual-equation residual
+    at t >= 0."""
+    t = float(t)
+    if not t >= 0.0:
+        raise ValueError(f"young_equality_residual needs t >= 0, got {t!r}")
     if phibar is None:
         phibar = phi.complementary()
-    t = float(t)
     value, deriv = phi.value_and_deriv(np.array([t]))
     s = float(deriv[0])
     lhs = t * s

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from choquet import harness
 from choquet.harness import SUITES, Suite, UnknownSuiteError, _ratio, _ratios, random_instance, run_suite
 from choquet.lattice import CubeId, LatticeConfig, all_cubes, validate_tiling
 from choquet.sparse import SparseFamily, verify_sparse
+from choquet.young import ExpM1, LlogL, numeric_conjugate, young_equality_residual
 
 SMALL = dict(trials=10, L=3, seed=17, n=1, d=0.5)
 
@@ -55,6 +57,23 @@ def test_reports_are_deterministic(name):
     a = run_suite(name, **SMALL).to_json()
     b = run_suite(name, **SMALL).to_json()
     assert a == b
+
+
+def test_cached_young_residuals_equal_fresh_conjugates():
+    # the cache keeps what fresh numeric conjugates give at every trial point
+    for t in harness._YOUNG_TS.tolist():
+        want = (young_equality_residual(ExpM1(), min(t, 8.0), numeric_conjugate(ExpM1())) / 1e-6,
+                young_equality_residual(LlogL(), t, numeric_conjugate(LlogL())) / 1e-6)
+        assert harness._numeric_young_residuals(t) == want
+    assert harness._numeric_young_residuals.cache_info().currsize <= len(harness._YOUNG_TS)
+
+
+def test_young_suite_same_with_cold_and_warm_cache():
+    args = dict(SMALL, trials=30)
+    harness._numeric_young_residuals.cache_clear()
+    cold = run_suite("young_suite", **args).to_json()
+    assert harness._numeric_young_residuals.cache_info().currsize == len(harness._YOUNG_TS)
+    assert run_suite("young_suite", **args).to_json() == cold
 
 
 def test_seed_changes_output():

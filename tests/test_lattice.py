@@ -153,6 +153,20 @@ def test_config_holds_numpy_integers_as_int():
         LatticeConfig(np.int64(4), np.int64(2**62), 1.0)
 
 
+@pytest.mark.parametrize("d", ["0.5", True, np.bool_(True), None, 1j, [0.5]])
+def test_config_needs_real_d(d):
+    # d="0.5" raised TypeError from the comparison, and d=True passed as 1.0
+    with pytest.raises(ValueError, match="content exponent d must be a real number"):
+        LatticeConfig(2, 3, d)
+
+
+@pytest.mark.parametrize("d", [1, 1.0, np.float32(1.0), np.float64(1.0), np.int64(1)])
+def test_config_takes_python_and_numpy_reals_as_float(d):
+    cfg = LatticeConfig(2, 3, d)
+    assert cfg == LatticeConfig(2, 3, 1.0) and type(cfg.d) is float
+    assert json.loads(GridFunction.constant(cfg, 1.0).to_json())["d"] == 1.0
+
+
 def test_config_caps_cell_count():
     # n*L <= 24: 2^24 float64 cells are 128 MB
     with pytest.raises(ValueError, match="too large"):
@@ -178,6 +192,26 @@ def test_cube_id_range_check_does_not_build_two_to_the_level():
         CubeId(3, (0, 8))
 
 
+@pytest.mark.parametrize("level, index, field", [(2, (1.5,), "cube index entry"), (2, (True,), "cube index entry"),
+                                                  (1, ("1",), "cube index entry"), (2, (0, None), "cube index entry"),
+                                                  (1.5, (0,), "cube level"), (True, (0,), "cube level"),
+                                                  ("1", (0,), "cube level"), (np.float64(1.0), (0,), "cube level")])
+def test_cube_id_needs_integer_level_and_index(level, index, field):
+    # a float or bool index was truncated to another cube, and a float level raised TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        CubeId(level, index)
+
+
+def test_cube_id_holds_numpy_integers_as_int():
+    q = CubeId(np.int64(2), (np.int32(3), np.uint8(1)))
+    assert q == CubeId(2, (3, 1)) and hash(q) == hash(CubeId(2, (3, 1)))
+    assert type(q.level) is int and all(type(j) is int for j in q.index)
+    with pytest.raises(ValueError, match="out of range"):
+        CubeId(np.int64(2), (np.int64(4),))
+    with pytest.raises(ValueError, match="cube level must be >= 0"):
+        CubeId(np.int64(-1), (0,))
+
+
 def test_cube_id_roundtrip():
     q = CubeId(2, (3, 1))
     assert str(q) == "2:3,1"
@@ -201,6 +235,11 @@ def test_children_and_parent():
     assert len(children(cfg2, CubeId(0, (0, 0)))) == 4
     with pytest.raises(LevelOverflowError):
         children(cfg2, CubeId(1, (0, 0)))
+    # a cube of another dimension is checked as `level_masks` checks it
+    with pytest.raises(ValueError, match="wrong dimension"):
+        children(LatticeConfig(1, 3, 0.5), CubeId(0, (0, 0)))
+    with pytest.raises(LevelOverflowError):
+        children(cfg, CubeId(3, (0,)))
     with pytest.raises(ValueError):
         parent(root)
 

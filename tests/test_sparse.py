@@ -193,11 +193,19 @@ def test_cantor_content_is_one():
     for c, L in [(CantorConfig(1, 2, 3), 8), (CantorConfig(2, 2, 2), 6)]:
         for k in range(c.K + 1):
             assert cantor_content(c, k, L) == pytest.approx(1.0, abs=1e-12)
+    assert cantor_content(c, np.int64(1), L) == cantor_content(c, 1, L)  # a NumPy stage is the same stage
 
 
 @pytest.mark.parametrize("k", [-1, -5, 4])
 def test_cantor_content_rejects_stage_outside_range(k):
     with pytest.raises(ValueError, match="outside 0..3"):
+        cantor_content(CantorConfig(1, 2, 3), k)
+
+
+@pytest.mark.parametrize("k", [1.5, True, "1", None])
+def test_cantor_content_needs_integer_stage(k):
+    # k = 1.5 raised TypeError and k = True ran stage 1
+    with pytest.raises(ValueError, match="stage k must be an integer, got "):
         cantor_content(CantorConfig(1, 2, 3), k)
 
 

@@ -236,25 +236,17 @@ def test_numeric_conjugate_argument_does_not_depend_on_batch(rng):
         for t, v, d in zip(ts, value, slope):
             alone = numeric_conjugate(phi)
             assert (alone(t), alone.deriv(t)) == (v, d)
+        assert batch(np.zeros((2, 0))).shape == (2, 0)
 
 
-@pytest.mark.parametrize("memo_size", [NumericConjugate._MEMO_SIZE, 40])
-def test_numeric_conjugate_memo_does_not_change_answers(rng, memo_size):
-    # memo hits in part, in whole or not at all, and a memo that overflows
-    # and starts again, give the answers of fresh instances
-    ts = np.concatenate([rng.random(60) * 3.0, [0.0, 0.0, 2.5]])
+def test_numeric_conjugate_writes_no_state(rng):
+    # a pure function: calls on any arguments leave the instance as built
     conj = numeric_conjugate(LlogL())
-    conj._MEMO_SIZE = memo_size
-    conj(ts[:30])
-    partial = conj(ts), conj.deriv(ts)
-    conj(ts[30:] + 1.0)
-    shuffled = conj(ts[::-1])[::-1], conj.deriv(ts[::-1])[::-1]
-    want = numeric_conjugate(LlogL())(ts), numeric_conjugate(LlogL()).deriv(ts)
-    for got in (partial, shuffled):
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert conj(np.zeros((2, 0))).shape == (2, 0) and np.array_equal(conj(ts), want[0])
-    keys = conj._memo[0]
-    assert keys.size <= max(memo_size, 64) and np.all(np.diff(keys) > 0)
+    before = dict(vars(conj))
+    ts = np.concatenate([rng.random(60) * 3.0, np.exp(rng.normal(0.0, 4.0, 60)), [0.0, 0.0, 2.5]])
+    conj(ts), conj.deriv(ts[::-1]), conj.value_and_deriv(ts[:30].reshape(5, 6))
+    after = vars(conj)
+    assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
 
 
 @pytest.mark.parametrize("phi", [LlogL(), ExpM1(), Power(2.0), Power(1.3)], ids=lambda p: p.name)
@@ -295,6 +287,13 @@ def test_young_equality_residual():
     num = numeric_conjugate(ExpM1())
     for t in [0.5, 1.0, 2.0]:
         assert young_equality_residual(ExpM1(), t, num) <= 1e-6
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-300, np.nan, -np.inf])
+def test_young_equality_residual_needs_nonnegative_t(t):
+    # at t = -1 the Power(2) residual read 0.0
+    with pytest.raises(ValueError, match="needs t >= 0"):
+        young_equality_residual(Power(2), t)
 
 
 def test_luxemburg_constant():
@@ -352,6 +351,14 @@ def test_luxemburg_normalization_unit_mean(rng):
             f = GridFunction(cfg, rng.random(cfg.num_cells) + 0.05)
             lam = luxemburg_norm(f, ROOT1, phi)
             assert phi_average(f, ROOT1, phi, lam) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0, np.nan, -1.0, -np.inf])
+def test_phi_average_needs_positive_lam(lam):
+    # lam = 0 or NaN read NaN, and lam = -1 read 17.5 for arange(8) at (1, 3)
+    f = GridFunction(LatticeConfig(1, 3, 0.5), np.arange(8.0))
+    with pytest.raises(ValueError, match="needs lam > 0"):
+        phi_average(f, ROOT1, Power(2), lam)
 
 
 def test_luxemburg_non_convergence():
