@@ -28,7 +28,8 @@ by a power of two, so it builds no |f|^p grid and no power overflows.
 
 The Frostman measure realizes the dual packing side: mass H^d(E) enters at
 the root and splits among occupied children proportionally to their DP
-costs, which keeps mu(Q) <= side(Q)^d on every lattice cube.
+costs, which keeps mu(Q) <= side(Q)^d on every lattice cube.  One descent
+serves any number of sets stacked along axis 0 (`_frostman_stack`).
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ class ContentResult:
 
 def _cost_tables(config: LatticeConfig, occ_grid: np.ndarray):
     """(costs, child): every level's DP costs and children's totals, shaped
-    (2^k,)*n.  A leaf costs side^d if occupied, else 0; above, child[k] is
+    (2^k,)*n, or W*2^k rows on axis 0 for W grids stacked there.  A leaf
+    costs side^d if occupied, else 0; above, child[k] is
     `coarsen(costs[k + 1])` and costs[k] is min(side^d, child[k]).  An empty
     cube's children total exactly 0, so a cube is occupied iff its cost is
     positive.  child[L] is None."""
@@ -113,39 +115,56 @@ def hausdorff_content(E: GridFunction) -> ContentResult:
     # The DP takes an occupied cube whose side^d is no more than its
     # children's total (ties go to the cube); the cover is every taken
     # cube with no taken ancestor.
+    take = [costs[k] > 0.0 for k in range(L + 1)]
+    for k in range(L):
+        take[k] &= 2.0 ** (-k * d) <= child[k] + _TIE_TOL
     cover = []
-    blocked = np.zeros((1,) * config.n, dtype=bool)
-    for k in range(L + 1):
-        if k:
-            blocked = refine(blocked, 2)
-        take = costs[k] > 0.0
-        if k < L:
-            take &= 2.0 ** (-k * d) <= child[k] + _TIE_TOL
-        sel = take & ~blocked
+    for sel in _outermost(take):
         rows = np.argwhere(sel)
         rows.flags.writeable = False
         cover.append(rows)
-        blocked |= sel
     return ContentResult(float(costs[0].reshape(-1)[0]), tuple(cover))
+
+
+def _outermost(take: list[np.ndarray]) -> list[np.ndarray]:
+    """The cubes marked in take[k] (one bool array per level, shaped
+    (2^k,)*n) with no marked ancestor, one mask per level: a DP's choices
+    read top down, each kept cube blocking every cube below it."""
+    masks = []
+    blocked = np.zeros_like(take[0])
+    for k, marked in enumerate(take):
+        if k:
+            blocked = refine(blocked, 2)
+        sel = marked & ~blocked
+        masks.append(sel)
+        blocked |= sel
+    return masks
 
 
 def frostman_measure(E: GridFunction) -> GridFunction:
     """Density of a measure mu >= 0 on E with mu(Q) <= side(Q)^d everywhere
-    and total mass equal to the content of E."""
-    config = E.config
+    and total mass equal to the content of E: `_frostman_stack` with a
+    stack of one."""
     occ = _as_occupancy(E)
     if not occ.any():
         raise ValueError("cannot build a Frostman measure on the empty set")
-    costs, child = _cost_tables(config, occ)
+    return GridFunction._adopt(E.config, _frostman_stack(E.config, occ))
 
+
+def _frostman_stack(config: LatticeConfig, occ: np.ndarray) -> np.ndarray:
+    """Frostman densities of nonempty occupancy grids stacked along axis 0,
+    2^L rows each, so one `_cost_tables` pass and one descent serve them
+    all, as `spaces._sup_norms` stacks its functions: a pair of rows never
+    spans two grids above the root, and every step is elementwise, so each
+    grid's rows are `==` its own descent.  A stack of one is the grid."""
+    costs, child = _cost_tables(config, occ)
     mass = costs[0].copy()  # level-0 mass: the content itself
     for k in range(config.L):
         # mass per unit child cost, formed at the parent level and refined
         # once: the same product per child as refining both factors
         scale = np.divide(1.0, child[k], out=np.zeros_like(child[k]), where=child[k] > 0.0)
         mass = refine(mass * scale, 2) * costs[k + 1]
-    density = mass / config.cell_volume
-    return GridFunction._adopt(config, density.reshape(-1))
+    return mass / config.cell_volume
 
 
 def _morton_order(grid: np.ndarray, L: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Norm scales over the content: Morrey, Orlicz-Morrey (global and tiled),
-Orlicz block norms, pairings, the dual-witness construction, and
-associate-norm lower bounds.
+Orlicz block norms, pairings, the dual-witness construction,
+associate-norm lower bounds, and the tiling DP behind the block-norm
+infimum.
 
 Associate norms are suprema over infinite balls and are never computed
 exactly; `associate_lower_bound` certifies them from below by maximizing
@@ -14,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .content import choquet_integral, choquet_norm, frostman_measure  # noqa: F401 (a perfbench tracer test patches it here)
+from .content import _frostman_stack, _outermost, choquet_integral, choquet_norm  # noqa: F401 (a perfbench tracer test patches choquet_integral here)
 from .lattice import (
     CubeId,
     GridFunction,
@@ -25,7 +26,7 @@ from .lattice import (
     children,
     coarsen,
     cube_blocks,
-    indicator,
+    cube_slices,
     level_masks,
     paint,
     pyramid,
@@ -145,6 +146,33 @@ def block_norm(f: GridFunction, p: float, phi: YoungFunction, t: Tiling) -> floa
     if not 1 <= p < np.inf:
         raise ValueError(f"block exponent must be finite with p >= 1, got {p}")
     return choquet_norm(_tile_profile(f, phi, t), p)
+
+
+def _tiling_dp(f: GridFunction, p: float, phi: YoungFunction) -> tuple[float, list[np.ndarray]]:
+    """(value, masks): the tiling minimizing sum over its tiles T of
+    side^d * a_T^p, a_T the Luxemburg norm of f on T, as `level_masks`,
+    and value = (that sum)^(1/p), for finite p >= 1.
+
+    The DP V(Q) = min(side^d * a_Q^p, sum over Q's children of V) runs one
+    `coarsen` and one `min` per level over the cached
+    `luxemburg_norm_table(f, phi)`; ties go to the cube.  The tiles are
+    read top down by `content._outermost`, as `hausdorff_content` reads its
+    cover: a cube the DP takes with no taken ancestor.  Every a is divided by
+    the largest first, so no power overflows.  H^d is strongly subadditive
+    (Yang-Yuan, Bull. Sci. Math. 2008), so the Choquet integral is
+    subadditive and H^d(T) = side^d: the block norm of the returned tiling
+    is at most value, which bounds the infimum over tilings from above."""
+    config = f.config
+    table = luxemburg_norm_table(f, phi)
+    top = max(float(a.max()) for a in table) or 1.0
+    own = [2.0 ** (-k * config.d) * (a / top) ** p for k, a in enumerate(table)]
+    take = [None] * config.L + [np.ones_like(own[-1], dtype=bool)]
+    best = own[-1]
+    for k in range(config.L - 1, -1, -1):
+        split = coarsen(best)
+        take[k] = own[k] <= split
+        best = np.where(take[k], own[k], split)
+    return top * float(best.reshape(-1)[0]) ** (1.0 / p), _outermost(take)
 
 
 def tiling_orlicz_morrey_norm(g: GridFunction, pprime: float, phibar: YoungFunction, t: Tiling) -> float:
@@ -281,26 +309,37 @@ def space_norm(g: GridFunction, spec: SpaceSpec) -> float:
     return _space(spec)(g, spec)
 
 
-def _witnesses(absf: GridFunction, count: int, rng: np.random.Generator):
+def _witnesses(absf: GridFunction, count: int, rng: np.random.Generator) -> list[GridFunction]:
     """The first `count` witness draws, skipping an empty random set: the
     root indicator, |f| itself, random densities, Frostman measures of
-    random sets and scaled cube indicators, in turn."""
+    random sets and scaled cube indicators, in turn.  The draws come first,
+    in that order; the random sets' Frostman measures are then built in one
+    `_frostman_stack` descent, each `==` `frostman_measure` of its set."""
     config = absf.config
+    gs, sets = [], {}  # sets: witness slot -> its random set
     for i in range(count):
         if i == 0:
-            yield GridFunction.constant(config, 1.0)
+            gs.append(GridFunction.constant(config, 1.0))
         elif i == 1 and absf.values.any():
-            yield absf  # self-pairing witness, often near-extremal
+            gs.append(absf)  # self-pairing witness, often near-extremal
         elif i % 3 == 1:
-            yield GridFunction._adopt(config, rng.random(config.num_cells))
+            gs.append(GridFunction._adopt(config, rng.random(config.num_cells)))
         elif i % 3 == 2:
             mask = rng.random(config.num_cells) < max(rng.random(), 1.0 / config.num_cells)
             if mask.any():
-                yield frostman_measure(GridFunction._adopt(config, mask.astype(float)))
+                sets[len(gs)] = mask
+                gs.append(None)
         else:
             k = int(rng.integers(0, config.L + 1))
             q = CubeId(k, tuple(int(rng.integers(0, 2**k)) for _ in range(config.n)))
-            yield GridFunction._adopt(config, indicator(config, q).values * (float(rng.random()) + 0.5))
+            grid = np.zeros(config.grid_shape)
+            grid[cube_slices(config, q)] = float(rng.random()) + 0.5
+            gs.append(GridFunction._adopt(config, grid))
+    if sets:
+        stack = np.concatenate([m.reshape(config.grid_shape) for m in sets.values()])
+        for slot, mu in zip(sets, _frostman_stack(config, stack).reshape(len(sets), -1)):
+            gs[slot] = GridFunction._adopt(config, mu)
+    return gs
 
 
 def associate_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed: int) -> float:
@@ -309,14 +348,15 @@ def associate_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed
     (the root indicator, random densities, Frostman measures of random
     sets, and scaled cube indicators).  Deterministic given the seed.
     witnesses must be an integer >= 1 and seed an integer >= 0, and the
-    spec is checked too, before any witness is drawn.  Against
-    orlicz_morrey_inf every witness is normed in one `_sup_norms` call;
-    otherwise each goes through `space_norm`."""
+    spec is checked too, before any witness is drawn.  All the random
+    sets' Frostman measures come from one stacked descent (`_witnesses`).
+    Against orlicz_morrey_inf every witness is normed in one `_sup_norms`
+    call; otherwise each goes through `space_norm`."""
     _require_count("witnesses", witnesses, 1)
     _require_count("seed", seed, 0)
     _space(spec)
     absf = GridFunction._adopt(f.config, np.abs(f.values))
-    gs = list(_witnesses(absf, witnesses, np.random.default_rng(seed)))
+    gs = _witnesses(absf, witnesses, np.random.default_rng(seed))
     if spec.tag == "orlicz_morrey_inf":
         denoms = _sup_norms(gs, spec.phi)
     else:

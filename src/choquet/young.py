@@ -183,10 +183,9 @@ class LlogL(YoungFunction):
     name = "llogl"
 
     def __call__(self, t):
+        # on [0, inf] no step is invalid, and t = inf gives inf * inf = inf
         t = np.asarray(t, dtype=float)
-        with np.errstate(invalid="ignore"):
-            out = t * np.log(np.e + t)
-        return np.where(np.isinf(t), np.inf, out)
+        return t * np.log(np.e + t)
 
     def deriv(self, t):
         t = np.asarray(t, dtype=float)

@@ -223,6 +223,11 @@ def per_tile_dual_witness(f: GridFunction, mu: GridFunction, p: float, phi: Youn
     return F, certs
 
 
+def mask_cubes(masks) -> list[CubeId]:
+    """The cubes of a set held as `level_masks`, in (level, index) order."""
+    return [CubeId(k, tuple(idx)) for k, m in enumerate(masks) for idx in np.argwhere(m).tolist()]
+
+
 def per_witness_lower_bound(f: GridFunction, spec: SpaceSpec, witnesses: int, seed: int) -> float:
     """`associate_lower_bound` one witness at a time: each witness is drawn,
     normed by `space_norm` (its Luxemburg table solved on its own) and

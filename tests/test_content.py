@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choquet.content import (
+    _frostman_stack,
     choquet_integral,
     choquet_norm,
     frostman_measure,
@@ -239,6 +240,21 @@ def test_frostman_matches_two_refine_descent(n, L, d):
 def test_frostman_matches_two_refine_descent_small(E):
     if E.values.any():
         assert np.array_equal(frostman_measure(E).values, two_refine_frostman_measure(E).values)
+
+
+@pytest.mark.parametrize("n, L", [(1, 6), (2, 4), (3, 2), (2, 0)])
+def test_frostman_stack_rows_equal_single_descents(n, L):
+    # sets of mixed densities (one cell, sparse, dense, full) stacked along
+    # axis 0: each row is `==` the Frostman measure of its own set
+    cfg = LatticeConfig(n, L, n / 2)
+    rng = np.random.default_rng(n + L)
+    masks = [rng.random(cfg.num_cells) < share for share in (0.05, 0.3, 0.7)]
+    masks = [np.eye(1, cfg.num_cells, cfg.num_cells - 1, dtype=bool)[0]] + masks + [np.ones(cfg.num_cells, bool)]
+    masks = [m for m in masks if m.any()]
+    stack = _frostman_stack(cfg, np.concatenate([m.reshape(cfg.grid_shape) for m in masks]))
+    assert stack.shape == (len(masks) * 2**L,) + (2**L,) * (n - 1)
+    for m, row in zip(masks, stack.reshape(len(masks), -1)):
+        assert np.array_equal(row, frostman_measure(GridFunction(cfg, m.astype(float))).values)
 
 
 def test_frostman_duality_and_constraints(rng):

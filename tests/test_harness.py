@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import mask_cubes
 
-from choquet import harness
+from choquet import harness, lattice, spaces
 from choquet.harness import SUITES, Suite, UnknownSuiteError, _ratio, _ratios, random_instance, run_suite
 from choquet.lattice import CubeId, LatticeConfig, all_cubes, validate_tiling
 from choquet.sparse import SparseFamily, verify_sparse
@@ -219,3 +220,25 @@ def test_ratios_is_ratio_elementwise():
     got = _ratios(num, den)
     want = [_ratio(float(a), float(b)) for a, b in zip(num, den)]
     assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n, L, d", [(1, 6, 0.5), (2, 4, 1.0), (1, 6, 0.8), (3, 3, 2.2)])
+def test_min_block_norm_is_block_norm_of_dp_tiling(n, L, d, monkeypatch):
+    # beyond the exhaustive range: the block norm of the DP's tiling, `==`
+    # block_norm on its Tiling, with no CubeId, Tiling or greedy search made
+    config = LatticeConfig(n, L, d)
+    rng = np.random.default_rng(n + L)
+    for phi in [LlogL(), ExpM1()]:
+        f = random_instance("function", config, [n, L, int(rng.integers(100))])
+        _, masks = spaces._tiling_dp(f, 1.0, phi)
+        tiling = lattice.Tiling(mask_cubes(masks))
+        want = spaces.block_norm(f, 1.0, phi, tiling)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built a cube, a tiling or a greedy search")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(lattice.CubeId, "__post_init__", forbidden)
+            mp.setattr(lattice.Tiling, "__init__", forbidden)
+            mp.setattr(spaces, "greedy_min_tiling", forbidden)
+            assert harness._min_block_norm(f, 1.0, phi, config) == want

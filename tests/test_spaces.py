@@ -1,7 +1,15 @@
 import conftest
 import numpy as np
 import pytest
-from conftest import configs, per_tile_dual_witness, per_witness_lower_bound, powered_choquet_norm, slice_paint, tilings
+from conftest import (
+    configs,
+    mask_cubes,
+    per_tile_dual_witness,
+    per_witness_lower_bound,
+    powered_choquet_norm,
+    slice_paint,
+    tilings,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +22,8 @@ from choquet.lattice import (
     children,
     indicator,
     measure_of_cube,
+    paint,
+    validate_masks,
     validate_tiling,
 )
 from choquet import spaces, young
@@ -520,6 +530,17 @@ def test_associate_lower_bound_matches_per_witness_loop(n, L, monkeypatch):
                 assert sup_calls == ([len(runs[0][1])] if spec.tag == "orlicz_morrey_inf" else [])
 
 
+@pytest.mark.parametrize("n, L, seed", [(1, 3, 0), (2, 2, 14)])
+def test_associate_lower_bound_skips_an_empty_random_set(n, L, seed):
+    # at these seeds one random set is drawn empty: it is skipped, the
+    # later draws keep their order, and the bound is the per-witness loop's
+    cfg = LatticeConfig(n, L, n / 2)
+    f = GridFunction(cfg, np.arange(1.0, cfg.num_cells + 1.0))
+    assert len(spaces._witnesses(f, 24, np.random.default_rng(seed))) < 24
+    for spec in _associate_specs(cfg):
+        assert associate_lower_bound(f, spec, 24, seed) == per_witness_lower_bound(f, spec, 24, seed)
+
+
 @pytest.mark.parametrize("spec", [SpaceSpec("sobolev", p=2.0, phi=ExpM1()), SpaceSpec("orlicz_morrey", p=2.0),
                                   SpaceSpec("block", phi=LlogL())], ids=["unknown_tag", "missing_phi", "missing_p_tiling"])
 def test_associate_lower_bound_checks_spec_first(spec, monkeypatch):
@@ -603,6 +624,70 @@ def test_greedy_min_tiling_matches_exhaustive(rng):
     assert val == pytest.approx(objective(t), rel=1e-12)
     # greedy descent cannot beat the exhaustive optimum
     assert val >= best - 1e-12
+
+
+def _dp_functions(cfg, rng):
+    """Spread data, a spike on one leaf over a faint floor (its optimum is
+    not the root at d > n/2), and a spike per half."""
+    spike = 1e-3 * rng.random(cfg.num_cells)
+    spike[int(rng.integers(cfg.num_cells))] = 50.0
+    halves = np.zeros(cfg.num_cells)
+    halves[[0, cfg.num_cells - 1]] = [8.0, 3.0]
+    return [GridFunction(cfg, np.exp(rng.normal(0.0, 2.0, cfg.num_cells))), GridFunction(cfg, spike),
+            GridFunction(cfg, halves)]
+
+
+@pytest.mark.parametrize("n, L", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("share", [0.3, 0.5, 0.8], ids=["d<n/2", "d=n/2", "d>n/2"])
+def test_tiling_dp_matches_enumeration(n, L, share):
+    # the DP against every tiling: its value is the least sum of side^d * a^p
+    # (to the 1/p), its masks are a tiling, that tiling is the argmin where
+    # the argmin is unique, and the painted table is its block norm exactly
+    cfg = LatticeConfig(n, L, share * n)
+    rng = np.random.default_rng(100 * n + 10 * L + round(10 * share))
+    tilings_ = list(enumerate_tilings(cfg))
+    for f in _dp_functions(cfg, rng):
+        for phi in [LlogL(), ExpM1(), Power(2.0)]:
+            table = luxemburg_norm_table(f, phi)
+            for p in [1.0, 2.0]:
+                value, masks = spaces._tiling_dp(f, p, phi)
+                sums = sorted((sum(q.side**cfg.d * table[q.level][q.index] ** p for q in t), i)
+                              for i, t in enumerate(tilings_))
+                assert value == pytest.approx(sums[0][0] ** (1.0 / p), rel=1e-12)
+                assert validate_masks(masks).ok
+                t = Tiling(mask_cubes(masks))
+                if len(sums) == 1 or sums[1][0] > sums[0][0] * (1.0 + 1e-9):
+                    assert t == tilings_[sums[0][1]]
+                profile = GridFunction(cfg, paint(masks, table))
+                assert choquet_norm(profile, p) == block_norm(f, p, phi, t)
+
+
+def test_tiling_dp_picks_fine_tiles_for_a_spike():
+    # a spike's own leaf is much cheaper than the root at d > n/2: the DP
+    # leaves the root, and its sum beats the greedy descent's on the same
+    # objective, which it must, being the exact minimum
+    cfg = LatticeConfig(1, 6, 0.8)
+    f = _dp_functions(cfg, np.random.default_rng(3))[1]
+    table = luxemburg_norm_table(f, ExpM1())
+    value, masks = spaces._tiling_dp(f, 1.0, ExpM1())
+    assert not masks[0].any() and validate_masks(masks).ok
+    t, greedy = greedy_min_tiling(cfg, lambda t: sum(q.side**cfg.d * table[q.level][q.index] for q in t))
+    assert value <= greedy * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n, L", [(1, 0), (1, 4), (2, 3), (3, 2)])
+def test_tiling_dp_of_zero_is_the_root(n, L):
+    value, masks = spaces._tiling_dp(GridFunction.zeros(LatticeConfig(n, L, n / 2)), 1.0, LlogL())
+    assert value == 0.0
+    assert masks[0].all() and not any(m.any() for m in masks[1:])
+
+
+def test_tiling_dp_scales_before_powers():
+    # a^p beyond the float range: the DP divides by the largest a first
+    cfg = LatticeConfig(1, 4, 0.5)
+    f = GridFunction(cfg, np.full(cfg.num_cells, 1e200))
+    value, masks = spaces._tiling_dp(f, 2.0, Power(2.0))
+    assert value == pytest.approx(1e200, rel=1e-12) and masks[0].all()
 
 
 def test_verification_inequality_constant_two(rng):
