@@ -43,6 +43,7 @@ from .maximal import fractional_measure_maximal, hl_maximal, orlicz_fractional_m
 from .sparse import (
     CantorConfig,
     SparseFamily,
+    SparseReport,
     apply_sparse,
     cantor_content,
     cantor_family,
@@ -140,9 +141,11 @@ def _random_tiling(rng: np.random.Generator, config: LatticeConfig) -> Tiling:
     return Tiling(cubes)
 
 
-def _random_sparse_family(rng: np.random.Generator, config: LatticeConfig, eta: float) -> SparseFamily:
+def _random_sparse_family(rng: np.random.Generator, config: LatticeConfig,
+                          eta: float) -> tuple[SparseFamily, SparseReport]:
     """Random subtree selection, thinned until the canonical-witness check
-    clears the target sparseness."""
+    clears the target sparseness.  Returns the family and its last
+    `verify_sparse` report."""
     # Cube indices run over levels 0..min(L, 4), coarsest first, level k a
     # run of 2^(nk) indices in `np.ndindex` order, as `all_cubes` lists them.
     n, top = config.n, min(config.L, 4)
@@ -159,7 +162,7 @@ def _random_sparse_family(rng: np.random.Generator, config: LatticeConfig, eta: 
         fam = SparseFamily(cubes, eta)
         report = verify_sparse(config, fam)
         if report.min_ratio >= eta or len(cubes) == 1:
-            return fam
+            return fam, report
         cubes.discard(report.worst_cube)
 
 
@@ -176,7 +179,7 @@ def random_instance(kind: str, config: LatticeConfig, seed, eta: float = 0.5):
     if kind == "tiling":
         return _random_tiling(rng, config)
     if kind == "sparse_family":
-        return _random_sparse_family(rng, config, eta)
+        return _random_sparse_family(rng, config, eta)[0]
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
@@ -416,8 +419,8 @@ def _thm21_empirical(ctx: SuiteContext, i: int):
     pprime = np.inf if p == 1.0 else p / (p - 1.0)
     f = ctx.instance("function", i, salt=1)
     g = ctx.instance("function", i, salt=2)
-    fam = ctx.instance("sparse_family", i, salt=3)
-    report = verify_sparse(config, fam)
+    # ctx.instance("sparse_family", i, salt=3) draws from this generator; its report comes with it
+    fam, report = _random_sparse_family(ctx.rng_for(i, salt=3), config, 0.5)
 
     num = pairing(g, apply_sparse(f, fam))
     # the Orlicz-Morrey norm of g is the Choquet L^p' norm of this maximal

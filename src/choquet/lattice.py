@@ -62,6 +62,12 @@ def _require_count(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def _require_real(name: str, value) -> None:
+    """ValueError unless value is a real number (Python or NumPy, not bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Fixed lattice context: dimension n, max level L, content exponent d.
@@ -87,8 +93,7 @@ class LatticeConfig:
             raise ValueError(
                 f"lattice too large: n*L = {self.n * self.L} exceeds {_MAX_NL} (2^{_MAX_NL} leaf cells)"
             )
-        if isinstance(self.d, bool) or not isinstance(self.d, (int, float, np.integer, np.floating)):
-            raise ValueError(f"content exponent d must be a real number, got {self.d!r}")
+        _require_real("content exponent d", self.d)
         if not 0.0 < self.d < self.n:
             raise ValueError(f"content exponent d must satisfy 0 < d < n, got d={self.d}, n={self.n}")
         object.__setattr__(self, "d", float(self.d))  # so `to_json` writes a NumPy d too
@@ -416,19 +421,31 @@ def measure_of_cube(mu: GridFunction, q: CubeId) -> float:
 
 
 @dataclass(frozen=True)
-class Tiling:
-    """A partition of the root cube into dyadic cubes."""
+class _CubeSet:
+    """A set of `CubeId`s, iterated in (level, index) order; any other member is a ValueError."""
 
     cubes: frozenset[CubeId]
 
     def __init__(self, cubes):
-        object.__setattr__(self, "cubes", frozenset(cubes))
+        try:
+            cubes = frozenset(cubes)
+        except TypeError as exc:  # not iterable, or an unhashable member
+            raise ValueError(f"cubes must be an iterable of CubeId: {exc}") from None
+        for q in cubes:
+            if not isinstance(q, CubeId):
+                raise ValueError(f"cubes must be CubeId instances, got {q!r}")
+        object.__setattr__(self, "cubes", cubes)
 
     def __iter__(self):
         return iter(sorted(self.cubes, key=lambda q: (q.level, q.index)))
 
     def __len__(self):
         return len(self.cubes)
+
+
+@dataclass(frozen=True, init=False)
+class Tiling(_CubeSet):
+    """A partition of the root cube into dyadic cubes."""
 
 
 @dataclass(frozen=True)

@@ -188,19 +188,22 @@ class LlogL(YoungFunction):
         return t * np.log(np.e + t)
 
     def deriv(self, t):
+        # t / (e + t) is inf / inf at t = inf, where its limit is 1
         t = np.asarray(t, dtype=float)
-        return np.log(np.e + t) + t / (np.e + t)
+        with np.errstate(invalid="ignore"):
+            ratio = t / (np.e + t)
+        return np.log(np.e + t) + np.where(np.isinf(t), 1.0, ratio)
 
     def value_and_deriv(self, t):
         # the operations of both calls, on two arrays: + and * commute exactly
         t = np.asarray(t, dtype=float)
         deriv = np.e + t
         value = np.log(deriv)
-        np.divide(t, deriv, out=deriv)
-        deriv += value
         with np.errstate(invalid="ignore"):
-            value *= t
-        np.putmask(value, np.isinf(t), np.inf)
+            np.divide(t, deriv, out=deriv)
+        np.putmask(deriv, np.isinf(t), 1.0)
+        deriv += value
+        value *= t
         return value, deriv
 
     def complementary(self):
@@ -233,10 +236,13 @@ class ExpM1Conjugate(YoungFunction):
     name = "conjugate:expm1"
 
     def __call__(self, t):
+        # t log t - t is inf - inf at t = inf, where the conjugate is inf
         t = np.asarray(t, dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             val = t * np.log(t) - t + 1.0
-        return np.where(t <= 1.0, 0.0, val)
+        val = np.where(t <= 1.0, 0.0, val)
+        np.putmask(val, np.isinf(t), np.inf)
+        return val
 
     def deriv(self, t):
         t = np.asarray(t, dtype=float)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet.content import choquet_norm, hausdorff_content
-from choquet.lattice import CubeId, GridFunction, LatticeConfig, all_cubes, cell_average, cube_slices, indicator
+from choquet.lattice import (CubeId, GridFunction, LatticeConfig, Tiling, all_cubes, cell_average, cube_slices, indicator,
+                             validate_tiling)
 from choquet.sparse import (
     CantorConfig,
     SparseFamily,
@@ -27,6 +28,22 @@ def test_sparse_family_validation():
         SparseFamily([ROOT1], eta=1.0)
     s = SparseFamily([ROOT1], eta=0.5)
     assert len(s) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: validate_tiling(LatticeConfig(1, 2, 0.5), Tiling(["0:0"])),
+    lambda: apply_sparse(GridFunction.constant(LatticeConfig(1, 2, 0.5), 1.0), SparseFamily([(0, (0,))], 0.5)),
+    lambda: Tiling(5),
+    lambda: Tiling([[ROOT1]]),
+    lambda: SparseFamily([ROOT1], "0.5"),
+    lambda: SparseFamily([ROOT1], True),
+    lambda: SparseFamily(None, 0.5),
+], ids=["tiling-of-str", "family-of-tuple", "tiling-of-int", "unhashable-member", "eta-str", "eta-bool",
+        "family-of-none"])
+def test_cube_sets_reject_what_is_not_a_cube(build):
+    # each used to leak AttributeError or TypeError
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_verify_sparse_singleton():
@@ -58,7 +75,8 @@ def test_verify_sparse_full_level_fails():
 
 def test_verify_sparse_matches_pairwise_oracle():
     # random families of up to 40 cubes at n <= 3, plus the Cantor families:
-    # the ancestor walk adds the same terms in the same order, so `==`
+    # every term is a dyadic volume and every partial sum is exact in any
+    # order, so the level pass and the oracle agree `==`
     rng = np.random.default_rng(20261018)
     for trial in range(600):
         n = int(rng.integers(1, 4))
@@ -72,6 +90,37 @@ def test_verify_sparse_matches_pairwise_oracle():
     for c, L in [(CantorConfig(1, 2, 3), 8), (CantorConfig(1, 2, 4), 8), (CantorConfig(2, 2, 2), 6)]:
         fam = cantor_family(c, L)
         assert verify_sparse(fam.config, fam.family) == pairwise_verify_sparse(fam.config, fam.family)
+
+
+@pytest.mark.parametrize("n, L", [(1, 16), (2, 8), (3, 5)])
+def test_verify_sparse_deep_families_match_pairwise_oracle(n, L):
+    # nested chains down to level L: each chain is a random subset of one
+    # leaf's ancestors, the leaf itself always in
+    rng = np.random.default_rng([20261020, n, L])
+    cfg = LatticeConfig(n, L, n / 2)
+    for trial in range(40):
+        cubes = set()
+        for _ in range(int(rng.integers(1, 6))):
+            leaf = rng.integers(0, 2**L, n)
+            for k in range(L + 1):
+                if k == L or rng.random() < 0.4:
+                    cubes.add(CubeId(k, tuple(int(j) >> (L - k) for j in leaf)))
+        fam = SparseFamily(cubes, eta=0.5)
+        assert max(q.level for q in cubes) == L
+        assert verify_sparse(cfg, fam) == pairwise_verify_sparse(cfg, fam), (trial, sorted(map(str, cubes)))
+
+
+@pytest.mark.parametrize("cubes, worst", [
+    ("0:0 1:0 2:0", "0:0"),  # ratio 0.5 at levels 0 and 1: the coarser cube
+    ("1:0 1:1 2:0 2:2", "1:0"),  # ratio 0.5 at 1:0 and 1:1: the lower index
+])
+def test_verify_sparse_worst_cube_tie_break(cubes, worst):
+    cfg = LatticeConfig(1, 3, 0.5)
+    fam = SparseFamily(map(CubeId.parse, cubes.split()), eta=0.5)
+    rep = verify_sparse(cfg, fam)
+    assert rep.min_ratio == 0.5
+    assert rep.worst_cube == CubeId.parse(worst)
+    assert rep == pairwise_verify_sparse(cfg, fam)
 
 
 @pytest.mark.parametrize("bad", [CubeId(1, (0, 0)), CubeId(3, (5,))])

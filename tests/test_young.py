@@ -190,6 +190,26 @@ def test_llogl_values_on_its_domain():
     assert got.tolist() == want
 
 
+@pytest.mark.parametrize("phi", [Identity(), Power(1.5), Power(3.0), PowerConjugate(1.5), PowerConjugate(3.0), LlogL(),
+                                 ExpM1(), ExpM1Conjugate(), IdentityConjugate()], ids=lambda p: p.name)
+def test_closed_forms_are_defined_at_infinity(phi):
+    # Phi(inf) = Phi'(inf) = inf with no warning (tier-1 makes a
+    # RuntimeWarning an error): LlogL's t / (e + t) and the e^t - 1
+    # conjugate's t log t - t are each inf / inf or inf - inf there
+    t = np.array([0.0, 2.0, np.inf])
+    value = phi(t)
+    assert not np.isnan(value).any() and value[2] == np.inf
+    assert phi(np.inf) == np.inf
+    if isinstance(phi, IdentityConjugate):  # not differentiable at or beyond t = 1
+        with pytest.raises(ValueError):
+            phi.deriv(t)
+        return
+    deriv = phi.deriv(t)
+    assert not np.isnan(deriv).any() and deriv[2] == (1.0 if isinstance(phi, Identity) else np.inf)
+    both = phi.value_and_deriv(t)
+    assert np.array_equal(both[0], value) and np.array_equal(both[1], deriv)
+
+
 def test_llogl_canonical_pairing():
     assert isinstance(LlogL().complementary(), ExpM1)
     assert isinstance(complementary(LlogL()), ExpM1)
