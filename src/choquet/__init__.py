@@ -18,7 +18,6 @@ from .lattice import (
     GridFunction,
     LatticeConfig,
     Tiling,
-    cell_average,
     children,
     indicator,
     measure_of_cube,
@@ -58,9 +57,6 @@ from .young import (
     YoungFunction,
     amemiya_functional,
     by_name,
-    check_delta2,
-    check_nabla2,
-    complementary,
     luxemburg_norm,
     young_equality_residual,
 )

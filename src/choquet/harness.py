@@ -64,11 +64,11 @@ from .spaces import (
 from .young import (
     ExpM1,
     LlogL,
+    NumericConjugate,
     Power,
     amemiya_functional,
     luxemburg_norm,
     luxemburg_norm_table,
-    numeric_conjugate,
     phi_average,
     young_equality_residual,
 )
@@ -141,11 +141,10 @@ def _random_tiling(rng: np.random.Generator, config: LatticeConfig) -> Tiling:
     return Tiling(cubes)
 
 
-def _random_sparse_family(rng: np.random.Generator, config: LatticeConfig,
-                          eta: float) -> tuple[SparseFamily, SparseReport]:
+def _random_sparse_family(rng: np.random.Generator, config: LatticeConfig) -> tuple[SparseFamily, SparseReport]:
     """Random subtree selection, thinned until the canonical-witness check
-    clears the target sparseness.  Returns the family and its last
-    `verify_sparse` report."""
+    clears sparseness 1/2.  Returns the family and its last `verify_sparse`
+    report."""
     # Cube indices run over levels 0..min(L, 4), coarsest first, level k a
     # run of 2^(nk) indices in `np.ndindex` order, as `all_cubes` lists them.
     n, top = config.n, min(config.L, 4)
@@ -159,16 +158,17 @@ def _random_sparse_family(rng: np.random.Generator, config: LatticeConfig,
         cubes.add(CubeId(k, np.unravel_index(i, (2**k,) * n)))
     cubes.add(CubeId(0, (0,) * n))
     while True:
-        fam = SparseFamily(cubes, eta)
+        fam = SparseFamily(cubes, 0.5)
         report = verify_sparse(config, fam)
-        if report.min_ratio >= eta or len(cubes) == 1:
+        if report.is_sparse(fam.eta) or len(cubes) == 1:
             return fam, report
         cubes.discard(report.worst_cube)
 
 
-def random_instance(kind: str, config: LatticeConfig, seed, eta: float = 0.5):
+def random_instance(kind: str, config: LatticeConfig, seed):
     """Seed-deterministic generator for functions, densities, tilings, and
-    sparse families.  `seed` may be an int or a sequence of ints."""
+    sparse families (sparseness 1/2).  `seed` may be an int or a sequence
+    of ints."""
     rng = np.random.default_rng(seed)
     if kind == "function":
         return GridFunction._adopt(config, _random_values(rng, config.num_cells))
@@ -179,7 +179,7 @@ def random_instance(kind: str, config: LatticeConfig, seed, eta: float = 0.5):
     if kind == "tiling":
         return _random_tiling(rng, config)
     if kind == "sparse_family":
-        return _random_sparse_family(rng, config, eta)[0]
+        return _random_sparse_family(rng, config)[0]
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
@@ -294,8 +294,8 @@ _YOUNG_PHIS = [Power(2.0), Power(1.5), LlogL()]
 def _numeric_young_residuals(t: float) -> tuple[float, float]:
     """Young residuals of e^t - 1 (at min(t, 8)) and t log(e + t) against
     numeric conjugates, over 1e-6: trials ask only the 25 `_YOUNG_TS`."""
-    return (young_equality_residual(ExpM1(), min(t, 8.0), numeric_conjugate(ExpM1())) / 1e-6,
-            young_equality_residual(LlogL(), t, numeric_conjugate(LlogL())) / 1e-6)
+    return (young_equality_residual(ExpM1(), min(t, 8.0), NumericConjugate(ExpM1())) / 1e-6,
+            young_equality_residual(LlogL(), t, NumericConjugate(LlogL())) / 1e-6)
 
 
 def _young(ctx: SuiteContext, i: int):
@@ -420,7 +420,7 @@ def _thm21_empirical(ctx: SuiteContext, i: int):
     f = ctx.instance("function", i, salt=1)
     g = ctx.instance("function", i, salt=2)
     # ctx.instance("sparse_family", i, salt=3) draws from this generator; its report comes with it
-    fam, report = _random_sparse_family(ctx.rng_for(i, salt=3), config, 0.5)
+    fam, report = _random_sparse_family(ctx.rng_for(i, salt=3), config)
 
     num = pairing(g, apply_sparse(f, fam))
     # the Orlicz-Morrey norm of g is the Choquet L^p' norm of this maximal

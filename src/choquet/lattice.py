@@ -10,13 +10,12 @@ Leaf storage is dense: a flat float array in row-major (C) order over the
 must not change.
 
 The cube tree is walked through a few primitives that every module uses:
-`children` and `parent` for single cubes, and for whole levels held as
-arrays shaped (2^k,)*n, `coarsen` (combine 2x...x2 blocks with a ufunc,
-one level up), `refine` (repeat entries, levels down) and `cube_blocks`
-(one row of leaf values per level-k cube).  A set of cubes is held as
-`level_masks` (one bool array per level); `paint` sums per-cube values
-over such a set onto the leaves, and `pyramid` combines a leaf grid up
-through every level.
+`children` for a single cube, and for whole levels held as arrays shaped
+(2^k,)*n, `coarsen` (combine 2x...x2 blocks with a ufunc, one level up),
+`refine` (repeat entries, levels down) and `cube_blocks` (one row of leaf
+values per level-k cube).  A set of cubes is held as `level_masks` (one
+bool array per level); `paint` sums per-cube values over such a set onto
+the leaves, and `pyramid` combines a leaf grid up through every level.
 """
 
 from __future__ import annotations
@@ -34,15 +33,12 @@ __all__ = [
     "Tiling",
     "TilingReport",
     "children",
-    "parent",
     "cube_slices",
     "indicator",
-    "cell_average",
     "measure_of_cube",
     "validate_tiling",
     "validate_masks",
     "all_cubes",
-    "cube_count",
     "coarsen",
     "refine",
     "cube_blocks",
@@ -171,12 +167,6 @@ def children(config: LatticeConfig, q: CubeId) -> set[CubeId]:
             for corner in np.ndindex(*(2,) * config.n)}
 
 
-def parent(q: CubeId) -> CubeId:
-    if q.level == 0:
-        raise ValueError("the root cube has no parent")
-    return CubeId(q.level - 1, tuple(j // 2 for j in q.index))
-
-
 def cube_slices(config: LatticeConfig, q: CubeId) -> tuple[slice, ...]:
     """Slices selecting q's leaf cells from the (2^L,)*n coordinate grid."""
     if q.level > config.L:
@@ -193,10 +183,6 @@ def all_cubes(config: LatticeConfig, max_level: int | None = None):
     for k in range(top + 1):
         for idx in np.ndindex(*(2**k,) * config.n):
             yield CubeId(k, idx)
-
-
-def cube_count(config: LatticeConfig) -> int:
-    return (2 ** (config.n * (config.L + 1)) - 1) // (2**config.n - 1)
 
 
 def coarsen(a: np.ndarray, op=np.add) -> np.ndarray:
@@ -406,11 +392,6 @@ def indicator(config: LatticeConfig, cubes) -> GridFunction:
     """Indicator of a union of lattice cubes."""
     masks = level_masks(config, [cubes] if isinstance(cubes, CubeId) else cubes)
     return GridFunction._adopt(config, (paint(masks, [1] * len(masks)) > 0).astype(float))
-
-
-def cell_average(f: GridFunction, q: CubeId) -> float:
-    """The mean of f over cube q (the barred-integral average)."""
-    return float(f.restrict(q).mean())
 
 
 def measure_of_cube(mu: GridFunction, q: CubeId) -> float:

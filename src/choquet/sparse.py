@@ -11,7 +11,7 @@ lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,20 +68,21 @@ def verify_sparse(config: LatticeConfig, s: SparseFamily) -> SparseReport:
     a secondary diagnostic, the Carleson packing constant sup_Q sum of |Q'|
     over family members Q' inside Q, divided by |Q|.
 
-    One bottom-up pass over `level_masks` from the family's deepest level,
-    one `coarsen` of each sum per level: a cube's removed volume sums each
+    One bottom-up pass over the family's `level_masks` down to its deepest
+    member's level (the masks of the lattice cut at that level), one
+    `coarsen` of each sum per level: a cube's removed volume sums each
     child's volume if the child is a member, else the child's removed
     volume; its inside volume sums each child's inside volume, plus its
     volume if a member.  All terms are dyadic volumes (n*L <= 24), so
     every sum is exact in any order.  Peak memory is a few float64 arrays
-    at the deepest level.  Raises ValueError for a cube outside the
-    lattice (wrong dimension or level above L).
+    at the deepest member's level, whatever L is.  Raises ValueError for a
+    cube outside the lattice (wrong dimension or level above L).
     """
-    masks = level_masks(config, s.cubes)
-    deepest = max((k for k, m in enumerate(masks) if m.any()), default=0)
-    removed = inside = np.zeros(masks[deepest].shape)
+    deepest = max((q.level for q in s.cubes), default=0)
+    masks = level_masks(replace(config, L=min(deepest, config.L)), s.cubes)
+    removed = inside = np.zeros(masks[-1].shape)
     min_ratio, carleson, worst = 1.0, 0.0, None  # an empty family's report; every ratio is at most 1
-    for k in range(deepest, -1, -1):
+    for k in range(len(masks) - 1, -1, -1):
         m, vol = masks[k], 2.0 ** (-config.n * k)
         most = np.where(m, removed, -np.inf)  # a level with no member has ratio +inf
         i = int(most.argmax())  # the first member removing the most

@@ -1,7 +1,7 @@
 """Young functions, complementary functions, and Luxemburg norms.
 
 Built-ins: identity t, powers t^p, t*log(e+t), and e^t - 1.  Each built-in
-registers a closed-form complementary; `numeric_conjugate` provides the
+registers a closed-form complementary; `NumericConjugate` provides the
 grid-based Legendre transform for cross-checking and for Young functions
 without a registered pair.  The identity, the powers and their conjugates
 are power forms Phi = c t^r: each declares (c, r) on `_PowerForm`, which
@@ -49,15 +49,11 @@ __all__ = [
     "ExpM1Conjugate",
     "IdentityConjugate",
     "NumericConjugate",
-    "numeric_conjugate",
-    "complementary",
     "by_name",
     "luxemburg_norm",
     "luxemburg_norm_table",
     "phi_average",
     "young_equality_residual",
-    "check_delta2",
-    "check_nabla2",
     "amemiya_functional",
 ]
 
@@ -195,9 +191,10 @@ class LlogL(YoungFunction):
         return np.log(np.e + t) + np.where(np.isinf(t), 1.0, ratio)
 
     def value_and_deriv(self, t):
-        # the operations of both calls, on two arrays: + and * commute exactly
+        # the operations of both calls, on two arrays: + and * commute exactly;
+        # e + t is a NumPy scalar on a 0-d t, so it is made an array to write to
         t = np.asarray(t, dtype=float)
-        deriv = np.e + t
+        deriv = np.asarray(np.e + t)
         value = np.log(deriv)
         with np.errstate(invalid="ignore"):
             np.divide(t, deriv, out=deriv)
@@ -208,7 +205,7 @@ class LlogL(YoungFunction):
 
     def complementary(self):
         # Canonical pairing used throughout: e^t - 1.  The exact conjugate
-        # differs from it on t <= 1; use numeric_conjugate(LlogL()) for a
+        # differs from it on t <= 1; use NumericConjugate(LlogL()) for a
         # two-sided comparison.
         return ExpM1()
 
@@ -332,14 +329,6 @@ class NumericConjugate(YoungFunction):
 
     def _cache_key(self):
         return type(self), self.phi._cache_key()
-
-
-def numeric_conjugate(phi: YoungFunction) -> NumericConjugate:
-    return NumericConjugate(phi)
-
-
-def complementary(phi: YoungFunction) -> YoungFunction:
-    return phi.complementary()
 
 
 def by_name(name: str) -> YoungFunction:
@@ -559,40 +548,6 @@ def young_equality_residual(phi: YoungFunction, t: float, phibar: YoungFunction 
     if not np.isfinite(lhs) or not np.isfinite(rhs):
         raise ValueError(f"{phi.name} is not finite/differentiable at t={t}")
     return abs(lhs - rhs)
-
-
-_PROBE_GRID = np.exp2(np.linspace(-20.0, 20.0, 401))
-
-
-def check_delta2(phi: YoungFunction) -> dict:
-    """Probe Phi(2t) <= K Phi(t) on a geometric grid.  Returns the estimated
-    K when bounded by 2^20, otherwise a witness t."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = phi(2.0 * _PROBE_GRID) / phi(_PROBE_GRID)
-    ratio = np.where(np.isnan(ratio), np.inf, ratio)
-    worst = float(np.max(ratio))
-    if worst <= 2.0**20:
-        return {"holds": True, "K": worst}
-    return {"holds": False, "witness": float(_PROBE_GRID[int(np.argmax(ratio))])}
-
-
-def check_nabla2(phi: YoungFunction, t_min: float = 0.0) -> dict:
-    """Search K in {2, 4, ..., 2^20} with Phi(t) <= Phi(Kt)/(2K) on the grid.
-
-    Functions with Phi'(0) > 0 (e^t - 1 among them) fail the global
-    condition near 0 but may satisfy the large-argument variant; pass
-    t_min to probe only t >= t_min.
-    """
-    grid = _PROBE_GRID[_PROBE_GRID >= t_min]
-    base = phi(grid)
-    K = 2.0
-    while K <= 2.0**20:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = phi(K * grid) / (2.0 * K)
-        if np.all(base <= bound):
-            return {"holds": True, "K": K}
-        K *= 2.0
-    return {"holds": False}
 
 
 class _AmemiyaPsi(YoungFunction):

@@ -10,7 +10,7 @@ from choquet import harness, lattice, spaces
 from choquet.harness import SUITES, Suite, UnknownSuiteError, _ratio, _ratios, random_instance, run_suite
 from choquet.lattice import CubeId, LatticeConfig, all_cubes, validate_tiling
 from choquet.sparse import SparseFamily, verify_sparse
-from choquet.young import ExpM1, LlogL, numeric_conjugate, young_equality_residual
+from choquet.young import ExpM1, LlogL, NumericConjugate, young_equality_residual
 
 SMALL = dict(trials=10, L=3, seed=17, n=1, d=0.5)
 
@@ -63,8 +63,8 @@ def test_reports_are_deterministic(name):
 def test_cached_young_residuals_equal_fresh_conjugates():
     # the cache keeps what fresh numeric conjugates give at every trial point
     for t in harness._YOUNG_TS.tolist():
-        want = (young_equality_residual(ExpM1(), min(t, 8.0), numeric_conjugate(ExpM1())) / 1e-6,
-                young_equality_residual(LlogL(), t, numeric_conjugate(LlogL())) / 1e-6)
+        want = (young_equality_residual(ExpM1(), min(t, 8.0), NumericConjugate(ExpM1())) / 1e-6,
+                young_equality_residual(LlogL(), t, NumericConjugate(LlogL())) / 1e-6)
         assert harness._numeric_young_residuals(t) == want
     assert harness._numeric_young_residuals.cache_info().currsize <= len(harness._YOUNG_TS)
 
@@ -172,7 +172,7 @@ def test_random_instance_sparse_family():
     cfg = LatticeConfig(1, 4, 0.5)
     from choquet.sparse import verify_sparse
     for s in range(5):
-        fam = random_instance("sparse_family", cfg, seed=[9, s], eta=0.5)
+        fam = random_instance("sparse_family", cfg, seed=[9, s])
         rep = verify_sparse(cfg, fam)
         assert rep.min_ratio >= 0.5 - 1e-12
 
@@ -196,7 +196,7 @@ def test_random_sparse_family_equals_pool_draw(n, L):
     # cube indices mapped by arithmetic pick the cubes the listed pool did
     cfg = LatticeConfig(n, L, n / 2)
     for s in range(20):
-        got = random_instance("sparse_family", cfg, seed=[9, s], eta=0.5)
+        got = random_instance("sparse_family", cfg, seed=[9, s])
         assert got == _pool_sparse_family(np.random.default_rng([9, s]), cfg, 0.5), s
 
 

@@ -15,17 +15,14 @@ from choquet.lattice import (
     TilingReport,
     _mean_pyramid,
     all_cubes,
-    cell_average,
     children,
     coarsen,
     cube_blocks,
-    cube_count,
     cube_slices,
     indicator,
     level_masks,
     measure_of_cube,
     paint,
-    parent,
     pyramid,
     refine,
     validate_tiling,
@@ -229,8 +226,6 @@ def test_children_and_parent():
     root = CubeId(0, (0,))
     kids = children(cfg, root)
     assert kids == {CubeId(1, (0,)), CubeId(1, (1,))}
-    for q in kids:
-        assert parent(q) == root
     cfg2 = LatticeConfig(2, 1, 1.0)
     assert len(children(cfg2, CubeId(0, (0, 0)))) == 4
     with pytest.raises(LevelOverflowError):
@@ -240,17 +235,12 @@ def test_children_and_parent():
         children(LatticeConfig(1, 3, 0.5), CubeId(0, (0, 0)))
     with pytest.raises(LevelOverflowError):
         children(cfg, CubeId(3, (0,)))
-    with pytest.raises(ValueError):
-        parent(root)
 
 
 def test_cube_count_and_enumeration():
     cfg = LatticeConfig(1, 3, 0.5)
-    assert cube_count(cfg) == 15
     assert sum(1 for _ in all_cubes(cfg)) == 15
     assert sum(1 for q in all_cubes(cfg, 1)) == 3
-    cfg2 = LatticeConfig(2, 2, 1.0)
-    assert cube_count(cfg2) == 21
 
 
 def test_grid_function_immutable_and_shape():
@@ -358,9 +348,9 @@ def test_indicator_and_restrict():
 def test_cell_average():
     cfg = LatticeConfig(1, 2, 0.5)
     f = GridFunction(cfg, [2, 0, 1, 0])
-    assert cell_average(f, CubeId(0, (0,))) == 0.75
-    assert cell_average(f, CubeId(1, (0,))) == 1.0
-    assert cell_average(f, CubeId(2, (0,))) == 2.0
+    assert float(f.restrict(CubeId(0, (0,))).mean()) == 0.75
+    assert float(f.restrict(CubeId(1, (0,))).mean()) == 1.0
+    assert float(f.restrict(CubeId(2, (0,))).mean()) == 2.0
 
 
 def test_measure_of_cube_additive_over_children(rng):
@@ -392,7 +382,7 @@ def test_tiling_partition_identity(rng):
     t = Tiling([CubeId(1, (0, 0)), CubeId(1, (0, 1)), CubeId(1, (1, 0)),
                 CubeId(2, (2, 2)), CubeId(2, (2, 3)), CubeId(2, (3, 2)), CubeId(2, (3, 3))])
     assert validate_tiling(cfg, t).ok
-    total = sum(cell_average(f, q) * q.volume for q in t)
+    total = sum(float(f.restrict(q).mean()) * q.volume for q in t)
     assert total == pytest.approx(f.values.mean(), rel=1e-12)
 
 

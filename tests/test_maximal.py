@@ -12,7 +12,6 @@ from choquet.lattice import (
     GridFunction,
     LatticeConfig,
     all_cubes,
-    cell_average,
     indicator,
     measure_of_cube,
 )
@@ -40,7 +39,7 @@ def brute_hl(f):
     for q in all_cubes(cfg):
         w = 2 ** (cfg.L - q.level)
         sl = tuple(slice(j * w, (j + 1) * w) for j in q.index)
-        out[sl] = np.maximum(out[sl], cell_average(f, q))
+        out[sl] = np.maximum(out[sl], float(f.restrict(q).mean()))
     return out
 
 
@@ -83,7 +82,7 @@ def test_argmax_cube_attains_value(rng):
         # the recorded cube contains the cell and attains the sweep value
         w = 2 ** (cfg.L - q.level)
         assert q.index[0] * w <= cell[0] < (q.index[0] + 1) * w
-        assert cell_average(f, q) == pytest.approx(m.values.grid[cell], rel=1e-13)
+        assert float(f.restrict(q).mean()) == pytest.approx(m.values.grid[cell], rel=1e-13)
 
 
 @pytest.mark.parametrize("n, cell", [(1, (8,)), (1, (0, 0)), (1, (-1,)), (1, (1.5,)), (1, (True,)), (1, ()),

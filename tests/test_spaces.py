@@ -48,11 +48,11 @@ from choquet.young import (
     Identity,
     IdentityConjugate,
     LlogL,
+    NumericConjugate,
     Power,
     PowerConjugate,
     luxemburg_norm,
     luxemburg_norm_table,
-    numeric_conjugate,
 )
 
 ROOT1 = CubeId(0, (0,))
@@ -105,7 +105,7 @@ SUP_VALUES = {
     "tiny": lambda rng, size: 1e-300 * rng.random(size),
 }
 SUP_PHIS = [Identity(), IdentityConjugate(), Power(2.5), PowerConjugate(1.5), LlogL(), ExpM1(), ExpM1Conjugate(),
-            numeric_conjugate(ExpM1())]
+            NumericConjugate(ExpM1())]
 
 
 @st.composite

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet.content import choquet_norm, hausdorff_content
-from choquet.lattice import (CubeId, GridFunction, LatticeConfig, Tiling, all_cubes, cell_average, cube_slices, indicator,
+from choquet.lattice import (CubeId, GridFunction, LatticeConfig, Tiling, all_cubes, cube_slices, indicator,
                              validate_tiling)
 from choquet.sparse import (
     CantorConfig,
@@ -131,6 +133,22 @@ def test_verify_sparse_rejects_cube_outside_lattice(bad):
         verify_sparse(cfg, SparseFamily([ROOT1, bad], eta=0.5))
 
 
+@pytest.mark.parametrize("n, L", [(1, 24), (2, 12)])
+def test_verify_sparse_memory_follows_the_deepest_member(n, L):
+    # masks go down to the deepest member's level only, so a two-level family
+    # on the largest lattices peaks at a few KiB, not at one mask per level
+    cfg = LatticeConfig(n, L, n / 2)
+    fam = SparseFamily([CubeId(0, (0,) * n), CubeId(1, (0,) * n)], eta=0.5)
+    tracemalloc.start()
+    try:
+        rep = verify_sparse(cfg, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert rep == pairwise_verify_sparse(cfg, fam)
+
+
 def test_apply_sparse_root_average(rng):
     cfg = LatticeConfig(1, 3, 0.5)
     f = GridFunction(cfg, rng.random(cfg.num_cells))
@@ -144,7 +162,7 @@ def test_apply_sparse_superposition(rng):
     cubes = [ROOT1, CubeId(2, (1,))]
     out = apply_sparse(f, SparseFamily(cubes, eta=0.25))
     want = np.full(cfg.num_cells, f.values.mean())
-    want[2:4] += cell_average(f, cubes[1])
+    want[2:4] += float(f.restrict(cubes[1]).mean())
     assert np.allclose(out.values, want)
 
 
