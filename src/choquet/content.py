@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction, LatticeConfig, coarsen, refine
+from .lattice import CubeId, GridFunction, LatticeConfig, _require_real, coarsen, refine
 
 __all__ = [
     "ContentResult",
@@ -266,6 +266,7 @@ def _profile_norm(levels: np.ndarray, contents: np.ndarray, p: float) -> float:
 def choquet_norm(f: GridFunction, p: float) -> float:
     """The L^p(H^d) functional from the level-set profile of |f|, scaled
     exactly by a power of two; p = inf gives the essential sup (max leaf)."""
+    _require_real("exponent p", p)
     if not p > 0:  # false for NaN as well
         raise ValueError(f"exponent must satisfy p > 0, got {p}")
     if np.isinf(p):

@@ -509,8 +509,8 @@ def _min_block_norm(f: GridFunction, p: float, phi, config: LatticeConfig) -> fl
     """Infimum of the block norm over tilings: exhaustive for L <= 3 in one
     dimension (or L <= 2 otherwise), where it is exact; beyond, the block
     norm of the tiling from `spaces._tiling_dp`.  At alpha = 0 a tiling's
-    profile is `paint(masks, table)`, so the norm is `==` `block_norm` of
-    that tiling, with no `CubeId` or `Tiling` built.
+    profile is `paint(masks, table)` on f's one table, so each norm is `==`
+    `block_norm` of that tiling; the DP's builds no `CubeId` or `Tiling`.
 
     The DP minimizes sum side^d * a^p over tilings, an upper bound for the
     block norm to the p, so its tiling need not have the least block norm.
@@ -519,11 +519,12 @@ def _min_block_norm(f: GridFunction, p: float, phi, config: LatticeConfig) -> fl
     4.4%; above, some rose (by up to 31%) and some fell, and no report's
     `empirical_constant` fell.  On spiky data the greedy was up to 2.8x
     worse than the DP's tiling.  Neither certifies the infimum."""
-    exhaustive = config.L <= 3 if config.n == 1 else config.L <= 2
-    if exhaustive:
-        return min(block_norm(f, p, phi, t) for t in enumerate_tilings(config))
-    _, masks = _tiling_dp(f, p, phi)
-    return choquet_norm(GridFunction._adopt(config, paint(masks, luxemburg_norm_table(f, phi))), p)
+    table = luxemburg_norm_table(f, phi)
+    if config.L <= (3 if config.n == 1 else 2):
+        candidates = (level_masks(config, t.cubes) for t in enumerate_tilings(config))
+    else:
+        candidates = [_tiling_dp(table, p, config.d)[1]]
+    return min(choquet_norm(GridFunction._adopt(config, paint(masks, table)), p) for masks in candidates)
 
 
 def _cor32(ctx: SuiteContext, i: int):

@@ -263,9 +263,9 @@ class GridFunction:
     """A step function constant on the 2^(nL) leaf cells of the root cube.
 
     It owns its values: the constructor copies what it is given, so a
-    caller that later writes to its own array changes neither `values` nor
-    any cached table of this function.  The package's kernels hand over
-    the arrays they have just made through `_adopt`, which keeps them."""
+    caller that later writes to its own array does not change `values`.
+    The package's kernels hand over the arrays they have just made
+    through `_adopt`, which keeps them."""
 
     def __init__(self, config: LatticeConfig, values):
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction, LatticeConfig, _mean_pyramid, _require_count, refine
+from .lattice import CubeId, GridFunction, LatticeConfig, _mean_pyramid, _require_count, _require_real, refine
 from .young import YoungFunction, luxemburg_norm_table
 
 __all__ = [
@@ -87,6 +87,7 @@ def fractional_measure_maximal(mu: GridFunction) -> MaximalResult:
 def orlicz_fractional_maximal(f: GridFunction, alpha: float, phi: YoungFunction) -> MaximalResult:
     """Fractional Orlicz maximal function: per leaf, max over ancestor cubes
     of side(Q)^alpha times the Phi-average of f over Q."""
+    _require_real("alpha", alpha)
     config = f.config
     if not 0.0 < alpha < config.n:
         raise ValueError(f"alpha must lie in (0, n), got {alpha}")

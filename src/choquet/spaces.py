@@ -23,6 +23,7 @@ from .lattice import (
     Tiling,
     _mean_pyramid,
     _require_count,
+    _require_real,
     children,
     coarsen,
     cube_blocks,
@@ -62,6 +63,7 @@ def _require_tiling(config: LatticeConfig, t: Tiling) -> list[np.ndarray]:
 
 def morrey_norm(mu: GridFunction, p: float) -> float:
     """Choquet L^p norm of the fractional measure maximal function of mu."""
+    _require_real("exponent p", p)
     if not p > 1:  # false for NaN as well
         raise ValueError(f"Morrey exponent must satisfy p > 1, got {p}")
     return choquet_norm(fractional_measure_maximal(mu).values, p)
@@ -82,6 +84,7 @@ def orlicz_morrey_norm(f: GridFunction, p: float, phi: YoungFunction) -> float:
     `luxemburg_norm_table`, grouped as a table's levels are; a row's norm
     does not depend on which rows share its solve, so the result is `==`
     the max over f's whole table (see `_sup_norms`)."""
+    _require_real("exponent p", p)
     if not p > 1:
         raise ValueError(f"Orlicz-Morrey exponent must satisfy p > 1, got {p}")
     if np.isinf(p):
@@ -143,32 +146,32 @@ def _tile_profile(f: GridFunction, phi: YoungFunction, t: Tiling, alpha: float =
 
 def block_norm(f: GridFunction, p: float, phi: YoungFunction, t: Tiling) -> float:
     """Block norm: Choquet L^p norm of the tile-wise Luxemburg profile."""
+    _require_real("exponent p", p)
     if not 1 <= p < np.inf:
         raise ValueError(f"block exponent must be finite with p >= 1, got {p}")
     return choquet_norm(_tile_profile(f, phi, t), p)
 
 
-def _tiling_dp(f: GridFunction, p: float, phi: YoungFunction) -> tuple[float, list[np.ndarray]]:
+def _tiling_dp(table: list[np.ndarray], p: float, d: float) -> tuple[float, list[np.ndarray]]:
     """(value, masks): the tiling minimizing sum over its tiles T of
-    side^d * a_T^p, a_T the Luxemburg norm of f on T, as `level_masks`,
+    side^d * a_T^p, a_T the Luxemburg `table` entry on T, as `level_masks`,
     and value = (that sum)^(1/p), for finite p >= 1.
 
     The DP V(Q) = min(side^d * a_Q^p, sum over Q's children of V) runs one
-    `coarsen` and one `min` per level over the cached
-    `luxemburg_norm_table(f, phi)`; ties go to the cube.  The tiles are
-    read top down by `content._outermost`, as `hausdorff_content` reads its
-    cover: a cube the DP takes with no taken ancestor.  Every a is divided by
-    the largest first, so no power overflows.  H^d is strongly subadditive
-    (Yang-Yuan, Bull. Sci. Math. 2008), so the Choquet integral is
-    subadditive and H^d(T) = side^d: the block norm of the returned tiling
-    is at most value, which bounds the infimum over tilings from above."""
-    config = f.config
-    table = luxemburg_norm_table(f, phi)
+    `coarsen` and one `min` per level over the table; ties go to the cube.
+    The tiles are read top down by `content._outermost`, as
+    `hausdorff_content` reads its cover: a cube the DP takes with no taken
+    ancestor.  Every a is divided by the largest first, so no power
+    overflows.  H^d is strongly subadditive (Yang-Yuan, Bull. Sci. Math.
+    2008), so the Choquet integral is subadditive and H^d(T) = side^d: the
+    block norm of the returned tiling is at most value, which bounds the
+    infimum over tilings from above."""
+    L = len(table) - 1
     top = max(float(a.max()) for a in table) or 1.0
-    own = [2.0 ** (-k * config.d) * (a / top) ** p for k, a in enumerate(table)]
-    take = [None] * config.L + [np.ones_like(own[-1], dtype=bool)]
+    own = [2.0 ** (-k * d) * (a / top) ** p for k, a in enumerate(table)]
+    take = [None] * L + [np.ones_like(own[-1], dtype=bool)]
     best = own[-1]
-    for k in range(config.L - 1, -1, -1):
+    for k in range(L - 1, -1, -1):
         split = coarsen(best)
         take[k] = own[k] <= split
         best = np.where(take[k], own[k], split)
@@ -178,6 +181,7 @@ def _tiling_dp(f: GridFunction, p: float, phi: YoungFunction) -> tuple[float, li
 def tiling_orlicz_morrey_norm(g: GridFunction, pprime: float, phibar: YoungFunction, t: Tiling) -> float:
     """Tiled Orlicz-Morrey norm: Choquet L^p' norm of the tile profile of
     side^(n-d) * Luxemburg norm; p' = inf gives its largest tile value."""
+    _require_real("exponent p'", pprime)
     if not pprime >= 1:
         raise ValueError(f"exponent must satisfy p' >= 1, got {pprime}")
     return choquet_norm(_tile_profile(g, phibar, t, g.config.n - g.config.d), pprime)
@@ -240,11 +244,12 @@ def dual_witness(
         F_Q = [1 + mean_Q Phibar(Phi'(|f|/a))]^(-1) a^(p-1) (mu(Q)/|Q|) f_Q
     The attached certificate side(Q)^(n-d) ||F_Q||_{Phibar;Q} is bounded by
     a^(p-1) whenever mu is admissible.  All tiles are handled at once on the
-    tiling's level masks: the tile norms come from the cached Luxemburg
-    table of f, the certificates from the tiles of F alone (F is new per
-    call, so a table of it would be solved for every cube), and
-    both are listed in the tiling's (level, index) order.
+    tiling's level masks: the tile norms come from f's Luxemburg table,
+    the certificates from the tiles of F alone (a table of F would solve
+    every cube, not just the tiles), and both are listed in the tiling's
+    (level, index) order.
     """
+    _require_real("exponent p", p)
     if not p > 1:
         raise ValueError(f"exponent must satisfy p > 1, got {p}")
     config = f.config

@@ -210,6 +210,7 @@ def unboundedness_demo(c: CantorConfig, p: float, L: int | None = None) -> list[
     the values 1..K+1 with {F >= j+1} = E^j: the depth-j image has the same
     first j+1 level sets, each merged content bit-identical to the dense DP
     of its set, so row j reads the first j+1 entries of F's one profile."""
+    _require_real("exponent p", p)
     if not p > 0:  # false for NaN as well
         raise ValueError(f"exponent must satisfy p > 0, got {p}")
     fam = cantor_family(c, L)

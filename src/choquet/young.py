@@ -37,7 +37,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .lattice import CubeId, GridFunction, cube_blocks
+from .lattice import CubeId, GridFunction, _require_real, cube_blocks
 
 __all__ = [
     "YoungFunction",
@@ -90,18 +90,9 @@ class YoungFunction:
     def __repr__(self):
         return f"<YoungFunction {self.name}>"
 
-    def _cache_key(self):
-        """Type and parameters, for caches: `name` rounds the parameters for
-        display.  An instance with an unhashable attribute is its own key."""
-        params = tuple(sorted((k, v) for k, v in vars(self).items() if k != "name"))
-        try:
-            hash(params)
-        except TypeError:
-            return self
-        return type(self), params
-
 
 def _power_exponent(p) -> float:
+    _require_real("power exponent", p)
     if not 1.0 < p < np.inf:
         raise ValueError(f"power exponent must lie in (1, inf), got {p}")
     return float(p)
@@ -112,10 +103,12 @@ class _PowerForm(YoungFunction):
     types in `_POWER_FORMS` have both norms in closed form in (c, r)."""
 
     def __call__(self, t):
-        return self.c * np.asarray(t, dtype=float) ** self.r
+        with np.errstate(over="ignore"):
+            return self.c * np.asarray(t, dtype=float) ** self.r
 
     def deriv(self, t):
-        return self.c * self.r * np.asarray(t, dtype=float) ** (self.r - 1.0)
+        with np.errstate(over="ignore"):
+            return self.c * self.r * np.asarray(t, dtype=float) ** (self.r - 1.0)
 
 
 class Identity(_PowerForm):
@@ -181,7 +174,8 @@ class LlogL(YoungFunction):
     def __call__(self, t):
         # on [0, inf] no step is invalid, and t = inf gives inf * inf = inf
         t = np.asarray(t, dtype=float)
-        return t * np.log(np.e + t)
+        with np.errstate(over="ignore"):
+            return t * np.log(np.e + t)
 
     def deriv(self, t):
         # t / (e + t) is inf / inf at t = inf, where its limit is 1
@@ -196,11 +190,11 @@ class LlogL(YoungFunction):
         t = np.asarray(t, dtype=float)
         deriv = np.asarray(np.e + t)
         value = np.log(deriv)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.divide(t, deriv, out=deriv)
-        np.putmask(deriv, np.isinf(t), 1.0)
-        deriv += value
-        value *= t
+            np.putmask(deriv, np.isinf(t), 1.0)
+            deriv += value
+            value *= t
         return value, deriv
 
     def complementary(self):
@@ -235,7 +229,7 @@ class ExpM1Conjugate(YoungFunction):
     def __call__(self, t):
         # t log t - t is inf - inf at t = inf, where the conjugate is inf
         t = np.asarray(t, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             val = t * np.log(t) - t + 1.0
         val = np.where(t <= 1.0, 0.0, val)
         np.putmask(val, np.isinf(t), np.inf)
@@ -326,9 +320,6 @@ class NumericConjugate(YoungFunction):
 
     def value_and_deriv(self, t):
         return self._lookup(t)
-
-    def _cache_key(self):
-        return type(self), self.phi._cache_key()
 
 
 def by_name(name: str) -> YoungFunction:
@@ -512,15 +503,11 @@ def luxemburg_norm_table(f: GridFunction, phi: YoungFunction) -> list[np.ndarray
     """Luxemburg norms of f over every lattice cube, one read-only array per
     level shaped (2^k,)*n like `pyramid`, each entry `==` to
     `luxemburg_norm` on that cube.  The levels stream through
-    `_luxemburg_rows`, which groups them into solves.  Cached per
-    (function, phi._cache_key()): a GridFunction owns its values, which
-    are read-only, so the table never goes stale."""
-    cache = f.__dict__.setdefault("_lux_tables", {})
-    key = phi._cache_key()
-    if key not in cache:
-        norms = _luxemburg_rows(phi, (cube_blocks(f.grid, k) for k in range(f.config.L + 1)))
-        cache[key] = [a.reshape((2**k,) * f.config.n) for k, a in enumerate(norms)]
-    return cache[key]
+    `_luxemburg_rows`, which groups them into solves.  Each call solves a
+    new table and stores nothing, so a caller that reads one table twice
+    holds it."""
+    norms = _luxemburg_rows(phi, (cube_blocks(f.grid, k) for k in range(f.config.L + 1)))
+    return [a.reshape((2**k,) * f.config.n) for k, a in enumerate(norms)]
 
 
 def phi_average(f: GridFunction, q: CubeId, phi: YoungFunction, lam: float) -> float:

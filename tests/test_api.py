@@ -11,7 +11,14 @@ from pathlib import Path
 import pytest
 
 import choquet
+from choquet.content import choquet_norm
 from choquet.harness import random_instance
+from choquet.lattice import CubeId, GridFunction, LatticeConfig, Tiling
+from choquet.maximal import orlicz_fractional_maximal
+from choquet.spaces import (SpaceSpec, block_norm, dual_witness, morrey_norm, orlicz_morrey_norm, space_norm,
+                            tiling_orlicz_morrey_norm)
+from choquet.sparse import CantorConfig, unboundedness_demo
+from choquet.young import ExpM1, LlogL, Power, PowerConjugate
 
 MODULES = ["content", "harness", "lattice", "maximal", "spaces", "sparse", "young"]
 
@@ -57,3 +64,29 @@ def test_dropped_name_is_gone(module, name):
 def test_random_instance_has_no_eta():
     # every family it draws is 1/2-sparse
     assert list(inspect.signature(random_instance).parameters) == ["kind", "config", "seed"]
+
+
+_F = GridFunction.constant(LatticeConfig(1, 2, 0.5), 1.0)
+_ROOT = Tiling([CubeId(0, (0,))])
+# each entry point that takes an exponent, called with it set to x
+_EXPONENT_CALLS = {
+    "choquet_norm": lambda x: choquet_norm(_F, x),
+    "morrey_norm": lambda x: morrey_norm(_F, x),
+    "orlicz_morrey_norm": lambda x: orlicz_morrey_norm(_F, x, LlogL()),
+    "block_norm": lambda x: block_norm(_F, x, LlogL(), _ROOT),
+    "tiling_orlicz_morrey_norm": lambda x: tiling_orlicz_morrey_norm(_F, x, ExpM1(), _ROOT),
+    "dual_witness": lambda x: dual_witness(_F, _F, x, LlogL(), _ROOT),
+    "unboundedness_demo": lambda x: unboundedness_demo(CantorConfig(1, 2, 1), x),
+    "space_norm": lambda x: space_norm(_F, SpaceSpec("block", p=x, phi=LlogL(), tiling=_ROOT)),
+    "Power": Power,
+    "PowerConjugate": PowerConjugate,
+    "orlicz_fractional_maximal": lambda x: orlicz_fractional_maximal(_F, x, LlogL()),
+}
+
+
+@pytest.mark.parametrize("value", ["2", None, True], ids=["str", "None", "bool"])
+@pytest.mark.parametrize("name", sorted(_EXPONENT_CALLS))
+def test_exponent_that_is_not_a_real_number_is_value_error(name, value):
+    # a string, None or a bool is rejected up front, not a TypeError from a comparison
+    with pytest.raises(ValueError):
+        _EXPONENT_CALLS[name](value)

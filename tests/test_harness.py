@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from conftest import mask_cubes
 
-from choquet import harness, lattice, spaces
+from choquet import harness, lattice, spaces, young
 from choquet.harness import SUITES, Suite, UnknownSuiteError, _ratio, _ratios, random_instance, run_suite
 from choquet.lattice import CubeId, LatticeConfig, all_cubes, validate_tiling
 from choquet.sparse import SparseFamily, verify_sparse
-from choquet.young import ExpM1, LlogL, NumericConjugate, young_equality_residual
+from choquet.young import ExpM1, LlogL, NumericConjugate, Power, luxemburg_norm_table, young_equality_residual
 
 SMALL = dict(trials=10, L=3, seed=17, n=1, d=0.5)
 
@@ -230,7 +230,7 @@ def test_min_block_norm_is_block_norm_of_dp_tiling(n, L, d, monkeypatch):
     rng = np.random.default_rng(n + L)
     for phi in [LlogL(), ExpM1()]:
         f = random_instance("function", config, [n, L, int(rng.integers(100))])
-        _, masks = spaces._tiling_dp(f, 1.0, phi)
+        _, masks = spaces._tiling_dp(luxemburg_norm_table(f, phi), 1.0, d)
         tiling = lattice.Tiling(mask_cubes(masks))
         want = spaces.block_norm(f, 1.0, phi, tiling)
 
@@ -242,3 +242,31 @@ def test_min_block_norm_is_block_norm_of_dp_tiling(n, L, d, monkeypatch):
             mp.setattr(lattice.Tiling, "__init__", forbidden)
             mp.setattr(spaces, "greedy_min_tiling", forbidden)
             assert harness._min_block_norm(f, 1.0, phi, config) == want
+
+
+@pytest.mark.parametrize("n, L", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("share", [0.3, 0.5, 0.8], ids=["d<n/2", "d=n/2", "d>n/2"])
+def test_min_block_norm_is_least_block_norm_on_exhaustive_sizes(n, L, share):
+    # the exhaustive branch paints f's one table per tiling: `==` the least
+    # block_norm over every tiling
+    config = LatticeConfig(n, L, share * n)
+    tilings = list(spaces.enumerate_tilings(config))
+    for seed in range(2):
+        f = random_instance("function", config, [n, L, seed])
+        for phi in [LlogL(), ExpM1(), Power(2.0)]:
+            for p in [1.0, 2.0]:
+                want = min(spaces.block_norm(f, p, phi, t) for t in tilings)
+                assert harness._min_block_norm(f, p, phi, config) == want
+
+
+@pytest.mark.parametrize("n, L", [(1, 3), (2, 2), (1, 4), (2, 3)], ids=["exhaustive", "exhaustive-2d", "dp", "dp-2d"])
+def test_min_block_norm_solves_one_table_per_call(n, L, monkeypatch):
+    # one Luxemburg table per call on both sides of the size switch, and as
+    # many again on a second call: nothing is kept between calls
+    config = LatticeConfig(n, L, n / 2)
+    f = random_instance("function", config, [n, L, 7])
+    rows, solves = young._luxemburg_rows, []
+    monkeypatch.setattr(young, "_luxemburg_rows", lambda *args: solves.append(1) or rows(*args))
+    for calls in [1, 2]:
+        harness._min_block_norm(f, 1.0, LlogL(), config)
+        assert len(solves) == calls

@@ -364,14 +364,14 @@ def test_dual_witness_certificates_match_table_of_F(data):
 
 def _capped_witness(f, mu, phi, t, cap):
     """dual_witness with the Luxemburg group cap patched to `cap`, and the
-    block shapes of each solve it makes; f's table is cached first, so
-    every solve is of certificates."""
-    luxemburg_norm_table(f, phi)
+    block shapes of each solve of certificates it makes: those are the
+    solves for Phibar, whose type differs from phi's, not f's table."""
     group, solves = young._luxemburg_group, []
 
-    def counted(phi, blocks):
-        solves.append([b.shape for b in blocks])
-        return group(phi, blocks)
+    def counted(psi, blocks):
+        if type(psi) is not type(phi):
+            solves.append([b.shape for b in blocks])
+        return group(psi, blocks)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(young, "_LUX_GROUP_ENTRIES", cap)
@@ -650,7 +650,7 @@ def test_tiling_dp_matches_enumeration(n, L, share):
         for phi in [LlogL(), ExpM1(), Power(2.0)]:
             table = luxemburg_norm_table(f, phi)
             for p in [1.0, 2.0]:
-                value, masks = spaces._tiling_dp(f, p, phi)
+                value, masks = spaces._tiling_dp(table, p, cfg.d)
                 sums = sorted((sum(q.side**cfg.d * table[q.level][q.index] ** p for q in t), i)
                               for i, t in enumerate(tilings_))
                 assert value == pytest.approx(sums[0][0] ** (1.0 / p), rel=1e-12)
@@ -669,7 +669,7 @@ def test_tiling_dp_picks_fine_tiles_for_a_spike():
     cfg = LatticeConfig(1, 6, 0.8)
     f = _dp_functions(cfg, np.random.default_rng(3))[1]
     table = luxemburg_norm_table(f, ExpM1())
-    value, masks = spaces._tiling_dp(f, 1.0, ExpM1())
+    value, masks = spaces._tiling_dp(table, 1.0, cfg.d)
     assert not masks[0].any() and validate_masks(masks).ok
     t, greedy = greedy_min_tiling(cfg, lambda t: sum(q.side**cfg.d * table[q.level][q.index] for q in t))
     assert value <= greedy * (1.0 + 1e-12)
@@ -677,7 +677,8 @@ def test_tiling_dp_picks_fine_tiles_for_a_spike():
 
 @pytest.mark.parametrize("n, L", [(1, 0), (1, 4), (2, 3), (3, 2)])
 def test_tiling_dp_of_zero_is_the_root(n, L):
-    value, masks = spaces._tiling_dp(GridFunction.zeros(LatticeConfig(n, L, n / 2)), 1.0, LlogL())
+    f = GridFunction.zeros(LatticeConfig(n, L, n / 2))
+    value, masks = spaces._tiling_dp(luxemburg_norm_table(f, LlogL()), 1.0, f.config.d)
     assert value == 0.0
     assert masks[0].all() and not any(m.any() for m in masks[1:])
 
@@ -686,7 +687,7 @@ def test_tiling_dp_scales_before_powers():
     # a^p beyond the float range: the DP divides by the largest a first
     cfg = LatticeConfig(1, 4, 0.5)
     f = GridFunction(cfg, np.full(cfg.num_cells, 1e200))
-    value, masks = spaces._tiling_dp(f, 2.0, Power(2.0))
+    value, masks = spaces._tiling_dp(luxemburg_norm_table(f, Power(2.0)), 2.0, cfg.d)
     assert value == pytest.approx(1e200, rel=1e-12) and masks[0].all()
 
 

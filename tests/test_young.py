@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,26 @@ def test_scalar_argument_gives_the_one_element_value(phi, make, method, t):
     assert [float(g) for g in got] == [float(w[0]) for w in want]
 
 
+@pytest.mark.parametrize("method", sorted(_METHODS))
+@pytest.mark.parametrize("phi", [Identity(), IdentityConjugate(), Power(1.5), Power(3.0), PowerConjugate(1.5),
+                                 PowerConjugate(3.0), LlogL(), ExpM1(), ExpM1Conjugate(), NumericConjugate(ExpM1())],
+                         ids=lambda p: p.name)
+def test_huge_finite_argument_gives_inf_without_warning(phi, method):
+    # at 1.7e308 a value past the float range is inf, not an overflow warning
+    call = _METHODS[method]
+    t = np.array([1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(phi, IdentityConjugate) and method != "call":  # not differentiable there
+            with pytest.raises(ValueError):
+                call(phi, t)
+            return
+        got = call(phi, t)
+    assert not any(np.isnan(g).any() for g in got)
+    if method != "deriv":
+        assert got[0][0] == (1.7e308 if type(phi) is Identity else np.inf)
+
+
 @pytest.mark.parametrize("make", [float, np.float64, np.array], ids=["float", "np.float64", "0-d"])
 def test_amemiya_psi_takes_a_scalar(make):
     psi = young._AmemiyaPsi(LlogL())
@@ -255,7 +277,7 @@ def test_by_name_any_number_of_conjugates(base, depth):
     for _ in range(depth):
         want = want.complementary()
     got = by_name("conjugate:" * depth + base)
-    assert got._cache_key() == want._cache_key()
+    assert (type(got), vars(got)) == (type(want), vars(want))
 
 
 @pytest.mark.parametrize("name", ["conjugate:nope", "conjugate:" * 1200 + "nope", "conjugate:"], ids=["one", "many", "empty"])
@@ -552,7 +574,7 @@ def test_luxemburg_homogeneous_and_monotone_property(f, phi, c, seed):
         assert luxemburg_norm(smaller, q, phi) <= norm * (1.0 + 1e-9)
 
 
-def test_luxemburg_table_cache_keys_on_parameters():
+def test_luxemburg_table_reads_parameters_not_names():
     # `name` prints p with :g, so both exponents are named "power:1.5"
     cfg = LatticeConfig(1, 3, 0.5)
     f = GridFunction(cfg, np.arange(1.0, 9.0))
@@ -560,11 +582,19 @@ def test_luxemburg_table_cache_keys_on_parameters():
     assert near.name == Power(1.5).name == "power:1.5"
     assert luxemburg_norm_table(f, Power(1.5))[0][0] != luxemburg_norm(f, ROOT1, near)
     assert luxemburg_norm_table(f, near)[0][0] == luxemburg_norm(f, ROOT1, near)
-    # parameters inside a numeric conjugate count too; equal parameters share
+    # parameters inside a numeric conjugate count too
     g = GridFunction(cfg, np.arange(1.0, 9.0) / 8.0)
     for phi in [NumericConjugate(Power(2.0)), NumericConjugate(Power(2.0000001))]:
         assert luxemburg_norm_table(g, phi)[0][0] == luxemburg_norm(g, ROOT1, phi)
-    assert luxemburg_norm_table(f, Power(1.5)) is luxemburg_norm_table(f, Power(1.5))
+
+
+@pytest.mark.parametrize("phi", [LlogL(), Power(2.0), NumericConjugate(ExpM1())], ids=lambda p: p.name)
+def test_luxemburg_table_leaves_the_function_as_it_was(phi):
+    # the table is returned, not stored on f
+    f = GridFunction(LatticeConfig(2, 2, 1.0), np.arange(16.0))
+    before = dict(vars(f))
+    luxemburg_norm_table(f, phi)
+    assert vars(f).keys() == before.keys() and all(vars(f)[k] is v for k, v in before.items())
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -573,7 +603,7 @@ def test_luxemburg_table_cache_keys_on_parameters():
 def test_luxemburg_table_groups_levels_by_budget(f, phi, budget):
     # the levels split into solves of at most `_LUX_GROUP_ENTRIES` entries
     # (one level at least), patched small so small lattices split too; the
-    # table is the same whatever the split, and cached
+    # table is the same whatever the split
     cells, levels = f.config.num_cells, f.config.L + 1
     entries = {"kept": _LUX_GROUP_ENTRIES, "one entry": 1, "one level": cells, "three levels": 3 * cells}[budget]
     alone = luxemburg_norm_table(GridFunction(f.config, f.values), phi)
@@ -587,7 +617,6 @@ def test_luxemburg_table_groups_levels_by_budget(f, phi, budget):
         mp.setattr(young, "_luxemburg_group", counted)
         mp.setattr(young, "_LUX_GROUP_ENTRIES", entries)
         table = luxemburg_norm_table(f, phi)
-        assert luxemburg_norm_table(f, phi) is table
     assert [a.shape for a in table] == [a.shape for a in alone]
     assert all(np.array_equal(a, b) for a, b in zip(table, alone))
     per_solve = max(1, entries // cells)
