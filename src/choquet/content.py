@@ -10,21 +10,26 @@ no ancestor was taken.  It is held as per-level index arrays, which
 `ContentResult.to_json_dict` formats directly; `optimal_cover` builds the
 `CubeId` objects on demand.
 
-The Choquet integral needs the content of every level set {f >= t}.  It
-runs the same recurrence once for all of them by a sorted merge over the
-distinct values: each cube keeps one cost per distinct value inside it, and
-a parent merges its 2^n children's lists.  A cube's cost never falls as
-the value falls (the content is monotone, and fp + and min are too), so
-once it reaches side^d it stays exactly side^d: the merge keeps the first
-such entry and drops the rest, whose costs the parent reads, unchanged,
-from the kept one.  Unpruned, the work would be the sum over cubes of the
-distinct values inside each, up to N*(L+1) for N leaf cells; pruned,
-continuous values at n=2, L=9 or n=3, L=6 take about a tenth of a second.
-The costs are bit-identical to one full-lattice DP per level set.
+The Choquet integral needs the content of every level set {f >= t}, at
+each of the V distinct positive values of f on N leaf cells.  Two kernels
+give the same floats, and `_level_contents` picks one by a rule on V and N
+(`_dense_wins`: V <= 128, or V*N <= 2^17).  With few values, the dense
+profile runs the value-only DP of `hausdorff_content_value` once per level
+set, the sets stacked along axis 0 up to a fixed number of leaves: O(V*N)
+work and a few MB whatever V is.  With many, a sorted merge runs the same
+recurrence once for all of them: each cube keeps one cost per distinct
+value inside it, and a parent merges its 2^n children's lists.  A cube's
+cost never falls as the value falls (the content is monotone, and fp + and
+min are too), so once it reaches side^d it stays exactly side^d: the merge
+keeps the first such entry and drops the rest, whose costs the parent
+reads, unchanged, from the kept one.  Unpruned, the work would be the sum
+over cubes of the distinct values inside each, up to N*(L+1); pruned,
+continuous values at n=2, L=9 or n=3, L=6 take about a tenth of a
+second.  Both are bit-identical to one full-lattice DP per level set.
 
-Every Choquet functional reads the merge's root output, the level-set
-profile (t_i, H^d({f >= t_i})); `choquet_norm` scales the levels exactly,
-by a power of two, so it builds no |f|^p grid and no power overflows.
+Every Choquet functional reads the level-set profile (t_i, H^d({f >= t_i}));
+`choquet_norm` scales the levels exactly, by a power of two, so it builds
+no |f|^p grid and no power overflows.
 
 The Frostman measure realizes the dual packing side: mass H^d(E) enters at
 the root and splits among occupied children proportionally to their DP
@@ -51,6 +56,9 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
+_DENSE_MAX_V = 128  # `_dense_wins`' bounds on V and on V*N
+_DENSE_MAX_ENTRIES = 2**17
+_STACK_ENTRIES = 2**18  # leaves per stack of level sets in `_dense_profile`
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +88,8 @@ def _cost_tables(config: LatticeConfig, occ_grid: np.ndarray):
     costs side^d if occupied, else 0; above, child[k] is
     `coarsen(costs[k + 1])` and costs[k] is min(side^d, child[k]).  An empty
     cube's children total exactly 0, so a cube is occupied iff its cost is
-    positive.  child[L] is None."""
+    positive.  child[L] is None.  The cover and the Frostman measure read
+    every level; a value alone comes from `_content_values`."""
     L, d = config.L, config.d
     costs = [None] * (L + 1)
     child = [None] * (L + 1)
@@ -99,11 +108,38 @@ def _as_occupancy(E: GridFunction) -> np.ndarray:
 
 def hausdorff_content_value(config: LatticeConfig, occ_grid: np.ndarray) -> float:
     """Content of an occupancy grid shaped `config.grid_shape` (ValueError
-    otherwise), value only (no cover extraction)."""
+    otherwise), value only (no cover extraction): `_content_values` of a
+    stack of one, the DP the dense level-set profile runs."""
     if np.shape(occ_grid) != config.grid_shape:
         raise ValueError(f"occupancy grid of shape {np.shape(occ_grid)} on a lattice of shape {config.grid_shape}")
-    costs, _ = _cost_tables(config, occ_grid)
-    return float(costs[0].reshape(-1)[0])
+    return float(_content_values(config, np.asarray(occ_grid, dtype=bool))[0])
+
+
+def _content_values(config: LatticeConfig, occ: np.ndarray) -> np.ndarray:
+    """The contents of bool occupancy grids stacked along axis 0, 2^L rows
+    each: `_cost_tables`' recurrence keeping one level at a time, `==` its
+    root.  A stack never pairs rows of two grids below the root, as in
+    `_frostman_stack`.
+
+    The leaf block's first two axes (one if n = 1) add 0/1 leaves as uint8
+    counts c.  In floats those partial sums are c * side_L^d: exact after
+    axis 0 (c <= 2), and rounded once, from exact terms, at axis 1; so
+    `c * side_L^d` is the float `coarsen` adds there.  Any further axes
+    add floats."""
+    n, L, d = config.n, config.L, config.d
+    if L == 0:
+        return np.where(occ, 1.0, 0.0).reshape(-1)
+    cost = occ.view(np.uint8)
+    for ax in range(n):
+        head = (slice(None),) * ax
+        cost = cost[head + (slice(0, None, 2),)] + cost[head + (slice(1, None, 2),)]
+        if ax == min(n, 2) - 1:
+            cost = cost * 2.0 ** (-L * d)
+    np.minimum(cost, 2.0 ** (-(L - 1) * d), out=cost)
+    for k in range(L - 2, -1, -1):
+        cost = coarsen(cost)
+        np.minimum(cost, 2.0 ** (-k * d), out=cost)
+    return cost.reshape(-1)
 
 
 def hausdorff_content(E: GridFunction) -> ContentResult:
@@ -178,6 +214,45 @@ def _morton_order(grid: np.ndarray, L: int) -> np.ndarray:
 def _level_contents(config: LatticeConfig, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(levels, contents) of a leaf grid f >= 0: its distinct positive
     values t_i, ascending, and the content H^d({f >= t_i}) of each.
+
+    Two kernels give the same floats.  `_dense_profile` runs the value DP
+    once per level set, O(V*N) work for V values on N leaves;
+    `_merge_profile` runs it once for all of them, O(N log N) and more
+    memory.  `_dense_wins(V, N)` picks: V <= 128 or V*N <= 2^17.  The
+    distinct values of a strided sample of f, less one for a 0, bound V
+    from below, so an f whose sample already fails the rule goes to the
+    merge without a sort of every leaf."""
+    flat = grid.reshape(-1)
+    if _dense_wins(np.unique(flat[:: max(1, flat.size >> 10)]).size - 1, flat.size):
+        levels = np.unique(flat[flat > 0.0])
+        if _dense_wins(levels.size, flat.size):
+            return levels, _dense_profile(config, grid, levels)
+    return _merge_profile(config, grid)
+
+
+def _dense_wins(V: int, N: int) -> bool:
+    """The kernel rule, fitted on single-call times (`BENCH_30.json`): the
+    dense profile is faster below about 128 values at any N, and up to
+    V*N = 2^17 on small lattices, where the merge's fixed cost per level
+    dominates.  Decreasing in V, so a lower bound on V that fails it
+    decides."""
+    return V <= _DENSE_MAX_V or V * N <= _DENSE_MAX_ENTRIES
+
+
+def _dense_profile(config: LatticeConfig, grid: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """H^d({f >= t}) at each t in `levels`: `_content_values` over the
+    level sets stacked along axis 0, at most `_STACK_ENTRIES` leaves (and
+    at least one set) per stack, so peak memory is bounded whatever V is."""
+    contents = np.empty(levels.size)
+    w = max(1, _STACK_ENTRIES // grid.size)
+    for s in range(0, levels.size, w):
+        t = levels[s:s + w].reshape((-1,) + (1,) * grid.ndim)
+        contents[s:s + w] = _content_values(config, (grid >= t).reshape((-1,) + grid.shape[1:]))
+    return contents
+
+
+def _merge_profile(config: LatticeConfig, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_level_contents` by a sorted merge over the distinct values.
 
     Every cube Q keeps one entry per distinct value t inside it, holding
     the DP cost of {f >= t} on Q.  A parent merges its children's entries

@@ -208,8 +208,11 @@ def unboundedness_demo(c: CantorConfig, p: float, L: int | None = None) -> list[
 
     The stages are nested, E^k inside E^(k-1), so the depth-K image F takes
     the values 1..K+1 with {F >= j+1} = E^j: the depth-j image has the same
-    first j+1 level sets, each merged content bit-identical to the dense DP
-    of its set, so row j reads the first j+1 entries of F's one profile."""
+    first j+1 level sets, each content the DP's of its set on either of
+    `_level_contents`' kernels, so row j reads the first j+1 entries of F's
+    one profile.  F has K+1 values, so that profile is the dense one: K+1
+    value-only DPs, one level set at a time on large lattices, in place of
+    a merge that sorts every positive leaf."""
     _require_real("exponent p", p)
     if not p > 0:  # false for NaN as well
         raise ValueError(f"exponent must satisfy p > 0, got {p}")

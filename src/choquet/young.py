@@ -261,9 +261,11 @@ class NumericConjugate(YoungFunction):
             slopes = np.diff(phi(self._GRID)) / np.diff(self._GRID)
         self._slopes = np.where(np.isnan(slopes), np.inf, slopes)
 
-    def _objective(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """ts - Phi(s), -inf where that is NaN; under the caller's errstate."""
-        return np.fmax(t * s - self.phi(s), -np.inf)
+    def _objective(self, t: np.ndarray, s: np.ndarray, scale=1.0) -> np.ndarray:
+        """ts - Phi(s) * scale, -inf where that is NaN; under the caller's
+        errstate.  With t scaled by the same 2^-e, only exponents move, so
+        where nothing overflows it compares as the unscaled objective."""
+        return np.fmax(t * s - self.phi(s) * scale, -np.inf)
 
     def _grid_argmax(self, t: np.ndarray) -> np.ndarray:
         """The first grid index maximising ts - Phi(s) at each argument t:
@@ -276,14 +278,19 @@ class NumericConjugate(YoungFunction):
         best = self._grid_argmax(t)
         lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, top)]
         lo_out, hi_out = lo.copy(), hi.copy()
-        idx, tt = np.arange(len(t)), t
+        idx = np.arange(len(t))
         with np.errstate(over="ignore", invalid="ignore"):
             best_val = self._objective(t, grid[best])
+            # Where ts overflows at the bracket's top, ts - Phi(s) reads inf
+            # at both thirds and the search cannot tell them apart: compare
+            # it there times 2^-e, e the exponent of t.
+            scale = np.where(np.isinf(t * hi), np.ldexp(1.0, -np.frexp(t)[1]), 1.0)
+            tt = t * scale
             # ternary refinement on the unimodal objective, both thirds in one call
             for _ in range(200):
                 third = (hi - lo) / 3.0
                 m = np.concatenate((lo + third, hi - third)).reshape(2, -1)
-                val = self._objective(tt, m)
+                val = self._objective(tt, m, scale)
                 left = val[0] < val[1]
                 lo, hi = np.where(left, m[0], lo), np.where(left, hi, m[1])
                 done = hi - lo <= 1e-9 * hi
@@ -293,7 +300,7 @@ class NumericConjugate(YoungFunction):
                     if finished == len(done):
                         break
                     keep = ~done
-                    idx, tt, lo, hi = idx[keep], tt[keep], lo[keep], hi[keep]
+                    idx, tt, lo, hi, scale = idx[keep], tt[keep], lo[keep], hi[keep], scale[keep]
             mid = 0.5 * (lo_out + hi_out)
             mid_val = self._objective(t, mid)
         base = np.maximum(best_val, 0.0)

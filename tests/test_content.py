@@ -3,8 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from choquet import content
 from choquet.content import (
+    _dense_profile,
+    _dense_wins,
     _frostman_stack,
+    _level_contents,
+    _merge_profile,
     choquet_integral,
     choquet_norm,
     frostman_measure,
@@ -343,6 +348,63 @@ def test_choquet_integral_matches_unpruned_merge_with_ties(f, steps):
     # rounding to a few levels makes many leaves share each value
     tied = GridFunction(f.config, np.round(f.values * steps) / steps)
     assert choquet_integral(tied) == merge_choquet_integral(tied)
+
+
+@oracle_settings
+@given(lattice_functions(), st.integers(1, 8))
+def test_dense_profile_matches_merge(f, steps):
+    # n = 1..3, zeros, V = 0 and V = 1 among the kinds; rounding adds ties
+    for grid in (f.grid, np.round(f.grid * steps) / steps):
+        levels, contents = _merge_profile(f.config, grid)
+        assert np.array_equal(_dense_profile(f.config, grid, levels), contents)
+        got = _level_contents(f.config, grid)
+        assert np.array_equal(got[0], levels) and np.array_equal(got[1], contents)
+
+
+@pytest.mark.parametrize("n,L,d", [(2, 9, 1.3), (3, 6, 1.5), (1, 14, 0.5), (2, 4, 1.0), (3, 3, 1.5)])
+@pytest.mark.parametrize("V", [1, 16, 128, 129, 256, "continuous"])
+def test_dense_profile_matches_merge_on_both_sides_of_the_rule(n, L, d, V):
+    cfg = LatticeConfig(n, L, d)
+    rng = np.random.default_rng(30)
+    vals = rng.random(cfg.num_cells) * (rng.random(cfg.num_cells) < 0.8)
+    if V != "continuous":
+        vals = np.ceil(vals * V) / V
+    grid = vals.reshape(cfg.grid_shape)
+    levels, contents = _merge_profile(cfg, grid)
+    if levels.size <= 256:
+        assert np.array_equal(_dense_profile(cfg, grid, levels), contents)
+    got = _level_contents(cfg, grid)
+    assert np.array_equal(got[0], levels) and np.array_equal(got[1], contents)
+
+
+@pytest.mark.parametrize("n,L,V,dense", [
+    (2, 9, 128, True), (2, 9, 129, False), (2, 9, None, False), (3, 6, None, False),
+    (2, 4, None, True), (1, 6, None, True), (3, 3, 256, True), (3, 3, None, False), (2, 5, 129, False),
+])
+def test_level_contents_kernel_follows_the_rule(monkeypatch, n, L, V, dense):
+    # the sample's lower bound on V never overrides the rule on V itself
+    cfg = LatticeConfig(n, L, 0.5)
+    vals = np.random.default_rng(7).permutation(cfg.num_cells) + 1.0
+    if V is not None:
+        vals = vals % V + 1.0
+    calls = []
+    monkeypatch.setattr(content, "_dense_profile", lambda *a: calls.append("dense") or _dense_profile(*a))
+    monkeypatch.setattr(content, "_merge_profile", lambda *a: calls.append("merge") or _merge_profile(*a))
+    _level_contents(cfg, vals.reshape(cfg.grid_shape))
+    assert calls == ["dense" if dense else "merge"]
+    assert _dense_wins(np.unique(vals).size, cfg.num_cells) == dense
+
+
+@pytest.mark.parametrize("budget", [1, 100, 4096, 2**30])
+def test_dense_profile_does_not_depend_on_stack_budget(monkeypatch, budget):
+    cfg = LatticeConfig(2, 5, 1.2)
+    rng = np.random.default_rng(11)
+    f = GridFunction(cfg, np.floor(rng.random(cfg.num_cells) * 40) / 8)
+    levels = np.unique(f.values[f.values > 0])
+    want = (_dense_profile(cfg, f.grid, levels), choquet_integral(f), choquet_norm(f, 2.5))
+    monkeypatch.setattr(content, "_STACK_ENTRIES", budget)
+    got = (_dense_profile(cfg, f.grid, levels), choquet_integral(f), choquet_norm(f, 2.5))
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
 def test_choquet_integral_continuous_large_lattice(rng):

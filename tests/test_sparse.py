@@ -303,6 +303,8 @@ def test_cantor_lux_bound_constants():
 def test_unboundedness_exact_growth():
     got = unboundedness_demo(CantorConfig(1, 2, 3), 1.0)
     assert got == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]
+    # 2^21 cells and 4 values: the dense profile, one level set at a time
+    assert unboundedness_demo(CantorConfig(3, 2, 3), 1.0, L=7) == [(j, float(j + 1)) for j in range(4)]
 
 
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.9])

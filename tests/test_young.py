@@ -299,6 +299,14 @@ def test_numeric_conjugate_matches_closed_form():
                                rtol=1e-7, atol=1e-12)
 
 
+def test_numeric_conjugate_where_ts_overflows():
+    # at 1.7e308, ts is inf over the whole bracket around the maximiser log t
+    ts = np.array([1e300, 1.7e308])
+    conj = NumericConjugate(ExpM1())
+    np.testing.assert_allclose(conj.deriv(ts), ExpM1Conjugate().deriv(ts), rtol=1e-9)
+    np.testing.assert_allclose(conj(ts), ExpM1Conjugate()(ts), rtol=1e-9)
+
+
 def test_numeric_conjugate_argument_does_not_depend_on_batch(rng):
     # all arguments refine together, each stopping on its own
     ts = np.concatenate([rng.random(40) * 3.0, np.exp(rng.normal(0.0, 4.0, 40)), [0.0, 1.0]])
